@@ -101,8 +101,8 @@ class ModeAmplitudes:
 
     ``scaled_energy`` is E_p / mc^2 = sqrt(wavenumber^2 + 1) >= 1 and
     ``branch`` is +1 (particle) or -1 (antiparticle).  The pair always
-    satisfies phi0^2 - chi0^2 = branch; that identity is asserted on
-    construction when Python runs with assertions enabled.
+    satisfies phi0^2 - chi0^2 = branch; construction checks that identity
+    and raises ValueError when it fails.
     """
 
     phi0: float
@@ -115,7 +115,11 @@ class ModeAmplitudes:
             raise ValueError(f"branch must be +1 or -1, got {self.branch}")
         if not (self.scaled_energy >= 1.0):
             raise ValueError(f"scaled energy must be >= 1, got {self.scaled_energy}")
-        assert abs(self.phi0**2 - self.chi0**2 - self.branch) < 1e-12
+        if not (abs(self.phi0**2 - self.chi0**2 - self.branch) < 1e-12):
+            raise ValueError(
+                f"phi0^2 - chi0^2 must equal the branch {self.branch}, "
+                f"got {self.phi0**2 - self.chi0**2}"
+            )
 
 
 def mode_amplitudes(wavenumber: float, branch: int) -> ModeAmplitudes:

@@ -16,12 +16,17 @@ class ConvergenceError(RuntimeError):
     ----------
     last_estimate : the final iterate (scalar or tuple), best value available
     iterations : number of iterations performed before giving up
+    history : per-iteration convergence measure, where the solver keeps one
+        (the 3D solve records the largest relative update of each sweep)
     """
 
-    def __init__(self, message: str, last_estimate=None, iterations: int = 0):
+    def __init__(
+        self, message: str, last_estimate=None, iterations: int = 0, history=()
+    ):
         super().__init__(message)
         self.last_estimate = last_estimate
         self.iterations = iterations
+        self.history = tuple(history)
 
 
 class CapacityError(RuntimeError):

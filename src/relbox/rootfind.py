@@ -3,8 +3,8 @@
 The spin-1/2 box quantization replaces the node-at-the-wall rule by
 transcendental equations: in 1D a single tangent equation per level, in 3D a
 set of three coupled tangent equations sharing the total kinetic energy.
-This module provides a safeguarded bracketed scalar solver plus the 1D and
-3D wavenumber solvers built on top of it.
+This module provides a bracketed scalar solver (Brent's method) plus the 1D
+and 3D wavenumber solvers built on top of it.
 
 All wavenumbers are dimensionless (k * lambda_C) and all box lengths are in
 Compton units; see :mod:`relbox.core`.
@@ -12,12 +12,9 @@ Compton units; see :mod:`relbox.core`.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable
-
-from scipy.optimize import brentq
 
 from .core import BoxSpec, QuantumNumbers
 from .errors import BracketError, ConvergenceError
@@ -103,21 +100,24 @@ def solve_bracketed(
 ) -> float:
     """Root of ``f`` on [lo, hi], safeguarded against slow convergence.
 
-    Uses inverse-quadratic/secant steps with a bisection fallback, then
-    nudges the result over neighbouring floats to minimise |f|.  The result
-    never leaves [lo, hi] and is within ``rel_tol * max(1, |root|)`` of the
-    true root.
+    Uses Brent's method (inverse-quadratic/secant steps with a bisection
+    fallback), then nudges the result over neighbouring floats to minimise
+    |f|.  The result never leaves [lo, hi] and is within
+    ``rel_tol * max(1, |root|)`` of the true root.
 
     Raises
     ------
     BracketError
         If f(lo) and f(hi) do not straddle zero.
     ConvergenceError
-        If the iteration cap is hit; carries the last iterate.
+        If the iteration cap is hit, or ``f`` returns NaN; carries the last
+        iterate.
     """
     if not (lo < hi):
         raise BracketError(f"empty bracket [{lo}, {hi}]")
     flo, fhi = f(lo), f(hi)
+    if math.isnan(flo) or math.isnan(fhi):
+        raise ConvergenceError(f"f is NaN at an end of [{lo}, {hi}]")
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -128,23 +128,67 @@ def solve_bracketed(
         )
     xtol = 0.5 * cfg.rel_tol
     rtol = max(0.5 * cfg.rel_tol, 4.0 * _EPS)
-    root, info = brentq(
-        f,
-        lo,
-        hi,
-        xtol=xtol,
-        rtol=rtol,
-        maxiter=cfg.max_scalar_iters,
-        full_output=True,
-        disp=False,
-    )
-    if not info.converged:
-        raise ConvergenceError(
-            f"scalar solve did not converge in {info.iterations} iterations",
-            last_estimate=float(root),
-            iterations=info.iterations,
-        )
+    root = _brent(f, lo, hi, flo, fhi, xtol, rtol, cfg.max_scalar_iters)
     return _polish(f, float(root), lo, hi)
+
+
+def _brent(f, xpre, xcur, fpre, fcur, xtol, rtol, maxiter):
+    """Brent's method (Brent 1973, ch. 4) on a sign-changing bracket.
+
+    Step for step the C routine ``brentq`` of SciPy: the same bracket
+    bookkeeping, tolerance ``delta = (xtol + rtol |x|) / 2`` and
+    interpolate / extrapolate / bisect tests, so in IEEE double arithmetic
+    it returns the same float.  A zero division, which yields inf or NaN
+    in C, takes the bisection step there too.
+    """
+    xblk = fblk = spre = scur = 0.0
+    for iteration in range(1, maxiter + 1):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (
+                        dblk * dpre * (fblk - fpre)
+                    )
+            except ZeroDivisionError:
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise ConvergenceError(
+                f"f is NaN at x={xcur}", last_estimate=xpre, iterations=iteration
+            )
+    raise ConvergenceError(
+        f"scalar solve did not converge in {maxiter} iterations",
+        last_estimate=float(xcur),
+        iterations=maxiter,
+    )
 
 
 def _polish(f: Callable[[float], float], root: float, lo: float, hi: float) -> float:
@@ -165,15 +209,19 @@ def _polish(f: Callable[[float], float], root: float, lo: float, hi: float) -> f
 
 
 def _machine_cfg(cfg: SolverConfig) -> SolverConfig:
+    """``cfg`` with ``rel_tol`` tightened to the float64 limit, built once
+    per wavenumber solve for all of its scalar sub-solves."""
     if cfg.rel_tol <= _MACHINE_REL_TOL:
         return cfg
-    return dataclasses.replace(cfg, rel_tol=_MACHINE_REL_TOL)
+    return SolverConfig(
+        rel_tol=_MACHINE_REL_TOL, max_scalar_iters=cfg.max_scalar_iters
+    )
 
 
 def _solve_tangent_branch(
     f: Callable[[float], float],
     n: int,
-    cfg: SolverConfig,
+    scalar_cfg: SolverConfig,
     pole_y: float | None = None,
 ) -> float:
     """Root of ``f`` (a function of y) inside the nth tangent branch.
@@ -181,7 +229,10 @@ def _solve_tangent_branch(
     ``pole_y`` marks a pole of the right-hand side; when it falls inside the
     branch interval the bracket is clipped just below it (the root always
     lies between the branch edge and that pole).  If the default bracket
-    fails to straddle zero, the interval is sign-scanned as a fallback.
+    fails to straddle zero, the interval is sign-scanned as a fallback; if
+    that finds nothing either, the root is looked for between the tangent
+    pole at the branch edge and the shrunk bracket (very small boxes put it
+    closer to the pole than ``BRACKET_SHRINK``).
     """
     branch = tangent_branch(n)
     lo, hi = branch.bracket_lo, branch.bracket_hi
@@ -192,7 +243,7 @@ def _solve_tangent_branch(
                 f"branch {n} collapsed: pole at y={pole_y} sits at the branch edge"
             )
     try:
-        return solve_bracketed(f, lo, hi, _machine_cfg(cfg))
+        return solve_bracketed(f, lo, hi, scalar_cfg)
     except BracketError:
         pass
     # Fallback: look for a sign change on a uniform scan of the branch.
@@ -201,8 +252,17 @@ def _solve_tangent_branch(
     vals = [f(y) for y in ys]
     for k in range(nscan):
         if math.copysign(1.0, vals[k]) != math.copysign(1.0, vals[k + 1]):
-            return solve_bracketed(f, ys[k], ys[k + 1], _machine_cfg(cfg))
-    raise BracketError(f"no root found in tangent branch {n} on [{lo}, {hi}]")
+            return solve_bracketed(f, ys[k], ys[k + 1], scalar_cfg)
+    # Last resort: between the first float past the branch-edge pole (where
+    # the tangent has turned negative) and the shrunk bracket.
+    edge = (n - 0.5) * math.pi
+    while not math.tan(edge) < 0.0:
+        edge = math.nextafter(edge, math.inf)
+    try:
+        return solve_bracketed(f, edge, lo, scalar_cfg)
+    except BracketError:
+        pass
+    raise BracketError(f"no root found in tangent branch {n} on [{edge}, {hi}]")
 
 
 def kg_wavenumber_1d(n: int, box_length: float) -> float:
@@ -224,7 +284,7 @@ def dirac_wavenumber_1d(
     def f(y: float) -> float:
         return math.tan(y) + y / box_length
 
-    y = _solve_tangent_branch(f, n, cfg)
+    y = _solve_tangent_branch(f, n, _machine_cfg(cfg))
     return y / box_length
 
 
@@ -270,13 +330,14 @@ def dirac_wavenumbers_3d(
     n = qnums.indices
     lengths = box.lengths
     xs = [n[i] * math.pi / lengths[i] for i in range(3)]
+    scalar_cfg = _machine_cfg(cfg)
     damping = cfg.damping
     prev_delta = None
     history: list[float] = []
     for _ in range(cfg.max_fixed_point_iters):
         e_sum = _kinetic(xs) + 2.0
         roots = [
-            _solve_axis(n[i], lengths[i], e_sum, cfg) for i in range(3)
+            _solve_axis(n[i], lengths[i], e_sum, scalar_cfg) for i in range(3)
         ]
         delta = [roots[i] - xs[i] for i in range(3)]
         if prev_delta is not None and any(
@@ -294,17 +355,20 @@ def dirac_wavenumbers_3d(
         f"{history[-1]:.3e} after {len(history)} sweeps",
         last_estimate=tuple(xs),
         iterations=len(history),
+        history=history,
     )
 
 
-def _solve_axis(n_i: int, length: float, e_sum: float, cfg: SolverConfig) -> float:
+def _solve_axis(
+    n_i: int, length: float, e_sum: float, scalar_cfg: SolverConfig
+) -> float:
     """One scalar sub-solve of the coupled system at fixed energy sum."""
 
     def f(y: float) -> float:
         x = y / length
         return math.tan(y) - 2.0 * e_sum * x / (x * x - e_sum * e_sum)
 
-    y = _solve_tangent_branch(f, n_i, cfg, pole_y=e_sum * length)
+    y = _solve_tangent_branch(f, n_i, scalar_cfg, pole_y=e_sum * length)
     return y / length
 
 

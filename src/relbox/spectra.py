@@ -16,6 +16,7 @@ with the degeneracies summed and every representative retained.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -167,12 +168,12 @@ def enumerate_levels(
 ) -> list[Level]:
     """Distinct levels in strictly increasing kinetic order.
 
-    Enumeration is complete: the candidate lattice is grown until the
-    lowest conceivable kinetic energy of any unscanned mode exceeds the
-    cutoff (for spin-1/2 the bound uses the branch lower edge
-    (n_i - 1/2) pi / L_i, which bounds every root from below).  If that
-    requires scanning past ``lattice_max``, CapacityError is raised rather
-    than silently truncating.
+    Enumeration is complete: modes are visited in order of the lowest
+    conceivable kinetic energy (for spin-1/2 the bound uses the branch lower
+    edge (n_i - 1/2) pi / L_i, which bounds every root from below) until
+    that bound exceeds the cutoff.  If a mode that can still matter has an
+    index above ``lattice_max``, CapacityError is raised rather than
+    silently truncating.
     """
     if request.box.dimension == 1:
         return _enumerate_1d(request, cfg, lattice_max)
@@ -193,20 +194,6 @@ def count_states(
     )
     levels = enumerate_levels(request, cfg, lattice_max)
     return sum(level.degeneracy for level in levels)
-
-
-def _min_excluded_kinetic(model: str, box: BoxSpec, n_max: int) -> float:
-    """Lower bound on the kinetic energy of any mode outside the scanned
-    lattice (some index > n_max)."""
-    dim = box.dimension
-    best = math.inf
-    for axis in range(dim):
-        indices = [1] * dim
-        indices[axis] = n_max + 1
-        xs = tuple(_lower_bound_wavenumber(model, indices[i], box.lengths[i])
-                   for i in range(dim))
-        best = min(best, dispersion(model, xs))
-    return best
 
 
 def _lower_bound_wavenumber(model: str, n: int, length: float) -> float:
@@ -258,60 +245,82 @@ def _cubic_multiplicity(triple: tuple[int, int, int]) -> int:
     return 6
 
 
-def _sorted_triples(n_max: int):
-    for a in range(1, n_max + 1):
-        for b in range(a, n_max + 1):
-            for c in range(b, n_max + 1):
-                yield (a, b, c)
-
-
-def _all_triples(n_max: int):
-    for a in range(1, n_max + 1):
-        for b in range(1, n_max + 1):
-            for c in range(1, n_max + 1):
-                yield (a, b, c)
-
-
 def _enumerate_3d(
     request: SpectrumRequest, cfg: SolverConfig, lattice_max: int | None
 ) -> list[Level]:
+    """Best-first walk over the index lattice in order of the kinetic lower
+    bound, solving a triple only while that bound can still reach the cutoff.
+
+    On cubes only sorted triples are visited (each stands for its 1, 3 or 6
+    permutations).  For a ``count`` request the cutoff is the count-th
+    merged level among the triples solved so far, which can only fall as
+    more are solved.  It is recomputed before the walk stops or raises on
+    it, and, while fewer than ``count`` levels are known, as soon as enough
+    new triples are solved to complete them.
+    """
     cap = DEFAULT_LATTICE_MAX_3D if lattice_max is None else lattice_max
     box = request.box
     model = request.model
     spin = _spin_factor(model, request.spin_counting)
     on_cube = box.is_cube
-    cache: dict[tuple[int, int, int], Level] = {}
+    margin = 1.0 + MERGE_REL_TOL
 
-    n_max = 2
-    while True:
-        triples = _sorted_triples(n_max) if on_cube else _all_triples(n_max)
-        entries = []
-        for triple in triples:
-            if triple not in cache:
-                cache[triple] = level_3d(model, QuantumNumbers(triple), box, cfg)
-            base = cache[triple]
-            mult = _cubic_multiplicity(triple) if on_cube else 1
-            entries.append((base, mult * spin))
-        entries.sort(key=lambda item: (item[0].kinetic, item[0].qnums.indices))
-        grouped = _merge_equal_energies(entries)
+    def lower_bound(triple):
+        return dispersion(model, tuple(
+            _lower_bound_wavenumber(model, triple[i], box.lengths[i])
+            for i in range(3)
+        ))
 
-        if request.max_kinetic is not None:
-            kept = [g for g in grouped if g.kinetic <= request.max_kinetic]
-            threshold = request.max_kinetic
-        else:
-            kept = grouped[: request.count]
-            if len(kept) < request.count:
-                threshold = math.inf  # not enough levels yet: keep growing
+    start = (1, 1, 1)
+    heap = [(lower_bound(start), start)]
+    seen = {start}
+    entries = []
+    if request.count is None:
+        limit = request.max_kinetic * margin
+    else:
+        limit, refresh_at = math.inf, request.count
+    while heap:
+        lowest, triple = heap[0]
+        over_cap = max(triple) > cap
+        if request.count is not None and (
+            lowest > limit or over_cap or len(entries) >= refresh_at
+        ):
+            grouped = _merge_sorted(entries)
+            if len(grouped) < request.count:
+                limit = math.inf
+                refresh_at = len(entries) + request.count - len(grouped)
             else:
-                threshold = kept[-1].kinetic * (1.0 + MERGE_REL_TOL)
-        if _min_excluded_kinetic(model, box, n_max) > threshold:
-            return kept
-        if n_max >= cap:
+                limit = grouped[request.count - 1].kinetic * margin * margin
+                refresh_at = math.inf
+        if lowest > limit:
+            break
+        if over_cap:
             raise CapacityError(
                 f"3D enumeration needs indices above the lattice bound {cap}",
                 lattice_max=cap,
             )
-        n_max = min(cap, n_max * 2)
+        heapq.heappop(heap)
+        mult = _cubic_multiplicity(triple) if on_cube else 1
+        entries.append((level_3d(model, QuantumNumbers(triple), box, cfg), mult * spin))
+        for axis in range(3):
+            nxt = triple[:axis] + (triple[axis] + 1,) + triple[axis + 1:]
+            if on_cube and axis < 2 and nxt[axis] > nxt[axis + 1]:
+                continue  # not sorted
+            if nxt not in seen:
+                seen.add(nxt)
+                heapq.heappush(heap, (lower_bound(nxt), nxt))
+
+    grouped = _merge_sorted(entries)
+    if request.count is None:
+        return [g for g in grouped if g.kinetic <= request.max_kinetic]
+    return grouped[: request.count]
+
+
+def _merge_sorted(entries) -> list[Level]:
+    """Merged levels of (level, degeneracy) entries given in any order."""
+    return _merge_equal_energies(
+        sorted(entries, key=lambda item: (item[0].kinetic, item[0].qnums.indices))
+    )
 
 
 def _merge_equal_energies(entries) -> list[Level]:

@@ -8,6 +8,7 @@ enumeration instead of the adaptive level scan.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -133,3 +134,32 @@ def simpson_integral(values: np.ndarray, length: float) -> float:
     h = length / (n - 1)
     total = values[0] + values[-1] + 4.0 * np.sum(values[1:-1:2]) + 2.0 * np.sum(values[2:-1:2])
     return float(total * h / 3.0)
+
+
+def lattice_levels(kinetic_of, lengths, n_max: int, count: int,
+                   rel_tol: float = 1e-9) -> list[tuple]:
+    """First ``count`` levels from every index triple up to n_max.
+
+    ``kinetic_of(triple)`` gives a triple's kinetic energy.  On a cube the
+    permutations of a triple form one entry (under its sorted representative,
+    weighted by the number of permutations found); triples are then sorted
+    by (kinetic, representative) and each one whose kinetic energy is within
+    ``rel_tol`` of the first member of the level before it joins that level.
+    Returns (representative, other representatives, degeneracy, kinetic)
+    tuples.  Valid only when no index above n_max can reach the count-th
+    level.
+    """
+    cube = len(set(lengths)) == 1
+    weights: dict[tuple, int] = {}
+    for triple in itertools.product(range(1, n_max + 1), repeat=3):
+        key = tuple(sorted(triple)) if cube else triple
+        weights[key] = weights.get(key, 0) + 1
+    entries = sorted((kinetic_of(t), t, w) for t, w in weights.items())
+    levels: list[list] = []
+    for kinetic, triple, weight in entries:
+        if levels and math.isclose(levels[-1][3], kinetic, rel_tol=rel_tol, abs_tol=0.0):
+            levels[-1][1].append(triple)
+            levels[-1][2] += weight
+        else:
+            levels.append([triple, [], weight, kinetic])
+    return [(t, tuple(also), w, k) for t, also, w, k in levels[:count]]

@@ -1,6 +1,10 @@
 """Command-line interface: schemas, determinism, exit codes, units."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -12,6 +16,10 @@ from relbox.spectra import figure_table
 from oracles import lattice_count
 
 runner = CliRunner()
+
+REPO = Path(__file__).resolve().parents[1]
+# Figure tables as printed by the commit that defined the benchmark.
+REFERENCE_DIR = REPO / "perfbench" / "reference"
 
 
 def invoke(*args):
@@ -114,6 +122,25 @@ def test_json_round_trip_matches_library_table():
     assert payload["rows"] == expected
     assert payload["config"]["command"] == "spectrum"
     assert payload["summary"]["n_rows"] == 36
+
+
+@pytest.mark.parametrize("dim", ["1", "3"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_figure_tables_match_reference_bytes(dim, fmt):
+    result = invoke("spectrum", "--dim", dim, "--model", "all",
+                    "--lc", "1,10,100,300", "--levels", "4", "--format", fmt)
+    assert result.exit_code == 0
+    expected = (REFERENCE_DIR / f"spectrum_dim{dim}.{fmt}").read_bytes()
+    assert result.stdout_bytes == expected
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = ("import relbox.cli, sys; assert not any("
+            "m == 'scipy' or m.startswith('scipy.') for m in sys.modules)")
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_out_file_matches_stdout(tmp_path):

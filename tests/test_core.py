@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from relbox import (
     BoxSpec,
     FVSpinor,
+    ModeAmplitudes,
     QuantumNumbers,
     charge_conjugate,
     mode_amplitudes,
@@ -33,6 +34,14 @@ def test_rest_mode_is_pure_upper():
 def test_identity_positive_branch(x):
     amps = mode_amplitudes(x, +1)
     assert abs(amps.phi0**2 - amps.chi0**2 - 1.0) <= 1e-14
+
+
+def test_amplitude_identity_checked_on_construction():
+    # a ValueError, not an assert, so it also holds under python -O
+    with pytest.raises(ValueError, match="phi0"):
+        ModeAmplitudes(phi0=1.0, chi0=1.0, branch=+1, scaled_energy=1.0)
+    with pytest.raises(ValueError, match="phi0"):
+        ModeAmplitudes(phi0=1.0, chi0=0.0, branch=-1, scaled_energy=1.0)
 
 
 def test_negative_branch_values():

@@ -16,9 +16,10 @@ from relbox import (
     level_1d,
     level_3d,
 )
+import relbox.spectra
 from relbox.spectra import _cubic_multiplicity
 
-from oracles import lattice_count
+from oracles import lattice_count, lattice_levels
 
 # Kinetic energy of the first spin-1/2 level in the unit 1D box, from the
 # bisection root y_1 = 2.0287578381104342 through sqrt(x^2 + 1) - 1.
@@ -149,6 +150,86 @@ def test_count_matches_exhaustive_oracle():
     assert count_states("nonrel", box300, 4e-4) == lattice_count(
         box300.lengths, 4e-4, 20, quadratic=True
     )
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """Index triples handed to ``level_3d`` by the enumerator, in order."""
+    triples = []
+    unpatched = relbox.spectra.level_3d
+
+    def recording_level_3d(model, qnums, box, cfg):
+        triples.append(qnums.indices)
+        return unpatched(model, qnums, box, cfg)
+
+    monkeypatch.setattr(relbox.spectra, "level_3d", recording_level_3d)
+    return triples
+
+
+def test_dirac_count_solves_only_the_lower_bound_ellipsoid(solved):
+    """Only sorted triples whose branch lower bound sum((n_i - 1/2) pi)^2
+    reaches kinetic 100 on the unit cube are solved, each once."""
+    assert count_states("dirac", BoxSpec.cube(1.0), 100.0) == 17061
+    norm_sq_max = 100.0 * 102.0  # kinetic T <=> |x|^2 <= T (T + 2)
+    inside = {
+        t
+        for t in itertools.combinations_with_replacement(range(1, 40), 3)
+        if sum(((n - 0.5) * math.pi) ** 2 for n in t) <= norm_sq_max
+    }
+    assert len(inside) == 3199
+    assert len(solved) == len(set(solved)) == 3199
+    assert set(solved) == inside
+
+
+def test_kg_count_request_solves_only_up_to_its_last_level(solved):
+    """Spin-0 lower bounds are the energies themselves, so a count request
+    needs exactly the sorted triples up to the last level's energy; most
+    of the first 300 cubic levels merge several triples, so the cutoff has
+    to be refreshed as levels complete."""
+    levels = enumerate_levels(SpectrumRequest(model="kg", box=BoxSpec.cube(1.0), count=300))
+    last_norm_sq = sum(n * n for n in levels[-1].qnums.indices)
+    needed = [
+        t
+        for t in itertools.combinations_with_replacement(range(1, 40), 3)
+        if sum(n * n for n in t) <= last_norm_sq
+    ]
+    assert len(solved) == len(set(solved)) == len(needed)
+    assert set(solved) == set(needed)
+
+
+@pytest.mark.parametrize(
+    "model, lengths, spin, merges",
+    [
+        ("kg", (1.0, 1.0, 1.0), False, True),  # (1,1,5) with (3,3,3)
+        ("dirac", (1.0, 1.0, 1.0), True, False),
+        ("dirac", (1.0, 1.1, 1.2), False, False),
+        ("nonrel", (2.0, 2.0, 3.0), False, True),  # swapped equal axes
+    ],
+)
+def test_count_request_matches_exhaustive_lattice(model, lengths, spin, merges):
+    """First 30 levels, representatives, merged extras and degeneracies as
+    an exhaustive scan of the 8^3 lattice gives them."""
+    box = BoxSpec(lengths)
+    count, n_max = 30, 8
+    req = SpectrumRequest(model=model, box=box, count=count, spin_counting=spin)
+    levels = enumerate_levels(req)
+    expected = lattice_levels(
+        lambda t: level_3d(model, QuantumNumbers(t), box).kinetic,
+        lengths, n_max, count,
+    )
+    factor = 2 if spin else 1
+    assert [
+        (lv.qnums.indices, tuple(q.indices for q in lv.also), lv.degeneracy, lv.kinetic)
+        for lv in levels
+    ] == [(t, also, factor * w, k) for t, also, w, k in expected]
+    # the 8^3 lattice holds every mode that can reach the last level
+    shift = 0.5 if model == "dirac" else 0.0
+    outside = min(
+        (n_max + 1 - shift) ** 2 * (math.pi / length) ** 2 for length in lengths
+    )
+    last = levels[-1].kinetic
+    assert outside > (2.0 * last if model == "nonrel" else last * (last + 2.0))
+    assert any(lv.also for lv in levels) == merges
 
 
 def test_count_equals_sum_of_enumerated_degeneracies():

@@ -18,6 +18,7 @@ from .core import (
 from .errors import BracketError, CapacityError, ConvergenceError
 from .fields import (
     BoxState,
+    FieldGrid,
     FieldSample,
     GridSpec,
     box_state_1d,
@@ -79,6 +80,7 @@ __all__ = [
     "count_states",
     "figure_table",
     "BoxState",
+    "FieldGrid",
     "FieldSample",
     "GridSpec",
     "box_state_1d",

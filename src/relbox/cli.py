@@ -8,7 +8,9 @@ runs are byte-identical and values survive a parse round trip.  Exit codes:
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import sys
 
 import click
@@ -71,20 +73,73 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(rows, config, summary, fmt, out):
+def _json(value, level: int = 0) -> str:
+    """``value`` as ``json.dumps(..., indent=2)`` writes it ``level`` levels deep."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)
+
+
+def _columns(rows: list[dict]) -> dict:
+    """Row dicts (all with the keys of the first) as a column table."""
+    return {key: [row[key] for row in rows] for key in rows[0]} if rows else {}
+
+
+def _column(values, fmt: str) -> tuple[str, list | None]:
+    """One table column as a printf conversion and the values it formats.
+
+    Plain floats become one ``%.17g`` (CSV) or ``%r`` (JSON, which writes
+    floats by ``repr``) conversion and plain ints one ``%d``; a float64
+    array whose every value has the same bits is formatted once, into a
+    literal.  Any other column is formatted cell by cell into ``%s``.
+    """
+    cell = _fmt if fmt == "csv" else lambda v: _json(v, 3)
+    if isinstance(values, np.ndarray):
+        if fmt == "csv" or np.isfinite(values).all():
+            bits = values.view(np.int64)
+            if (bits == bits[0]).all():
+                return cell(float(values[0])).replace("%", "%%"), None
+            return ("%.17g" if fmt == "csv" else "%r"), values.tolist()
+        values = values.tolist()
+    kinds = set(map(type, values))
+    if kinds == {float} and (fmt == "csv" or all(map(math.isfinite, values))):
+        return ("%.17g" if fmt == "csv" else "%r"), values
+    if kinds == {int}:
+        return "%d", values
+    return "%s", [cell(v) for v in values]
+
+
+def _format_rows(table: dict, nrows: int, fmt: str) -> str:
+    """All rows of ``table`` through one printf row template, as the CSV body
+    or as the items of the JSON ``rows`` list."""
+    specs, cells = zip(*(_column(values, fmt) for values in table.values()))
+    flat = tuple(itertools.chain.from_iterable(zip(*(c for c in cells if c is not None))))
+    if fmt == "csv":
+        return "\n".join([",".join(specs)] * nrows) % flat
+    items = ",\n".join(
+        f"      {_json(name).replace('%', '%%')}: {spec}" for name, spec in zip(table, specs)
+    )
+    return ",\n".join(["    {\n" + items + "\n    }"] * nrows) % flat
+
+
+def _render(table: dict, config, summary, fmt: str) -> str:
+    """A column table (name -> column, all of one length) with its config
+    and summary: in JSON exactly as ``json.dumps(payload, indent=2)`` writes
+    the payload, in CSV ``#`` summary lines, the header and ``_fmt`` cells."""
+    nrows = len(next(iter(table.values()), ()))
     if fmt == "json":
-        payload = {"config": config, "rows": rows, "summary": summary}
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        lines = []
-        for key, value in (summary or {}).items():
-            lines.append(f"# {key}={_fmt(value)}")
-        if rows:
-            columns = list(rows[0].keys())
-            lines.append(",".join(columns))
-            for row in rows:
-                lines.append(",".join(_fmt(row[c]) for c in columns))
-        text = "\n".join(lines) + "\n"
+        rows = "[\n" + _format_rows(table, nrows, fmt) + "\n  ]" if nrows else "[]"
+        return (
+            f'{{\n  "config": {_json(config, 1)},\n  "rows": {rows},\n'
+            f'  "summary": {_json(summary, 1)}\n}}\n'
+        )
+    lines = [f"# {key}={_fmt(value)}" for key, value in (summary or {}).items()]
+    if nrows:
+        lines.append(",".join(table))
+        lines.append(_format_rows(table, nrows, fmt))
+    return "\n".join(lines) + "\n"
+
+
+def _emit(table: dict, config, summary, fmt, out):
+    text = _render(table, config, summary, fmt)
     if out is None:
         click.echo(text, nl=False)
     else:
@@ -260,7 +315,7 @@ def spectrum(ctx, dim, model, lc, lengths, levels, tmax, spin_counting, fmt, out
         "preset": preset,
         "kinetic_units": "mc^2",
     }
-    _emit(rows, config, {"n_rows": len(rows)}, fmt, out)
+    _emit(_columns(rows), config, {"n_rows": len(rows)}, fmt, out)
 
 
 @cli.command()
@@ -315,7 +370,7 @@ def count(ctx, dim, model, lc, lengths, tmax, spin_counting, fmt, out, tol):
         "tmax": tmax,
         "spin_counting": spin_counting,
     }
-    _emit(rows, config, {"n_rows": len(rows)}, fmt, out)
+    _emit(_columns(rows), config, {"n_rows": len(rows)}, fmt, out)
 
 
 @cli.command()
@@ -333,14 +388,14 @@ def count(ctx, dim, model, lc, lengths, tmax, spin_counting, fmt, out, tol):
     show_default=True,
 )
 @click.option("--out", type=click.Path(), default=None)
-@click.option("--tol", type=float, default=None)
-def field(dim, n, lc, lengths, grid, conjugate, fmt, out, tol):
+def field(dim, n, lc, lengths, grid, conjugate, fmt, out):
     """Sample a box eigenstate: spinor, charge density and current.
 
     Emits one row per grid point (boundary included) plus a summary with
     the charge quadrature, the largest |current| and the finite-difference
     stationarity residual.  In CSV the summary appears as leading '#'
-    comment lines.
+    comment lines.  The grid must put more than two intervals on every
+    half-wavelength (grid - 1 > 2 n_i), where the quadrature stops aliasing.
     """
     dim = int(dim)
     if len(n) != dim:
@@ -355,41 +410,40 @@ def field(dim, n, lc, lengths, grid, conjugate, fmt, out, tol):
         grid = 201 if dim == 1 else 21
     if grid < 3 or grid % 2 == 0:
         raise click.UsageError("Invalid value for '--grid': need an odd count >= 3.")
+    qnums = QuantumNumbers(n)
+    gridspec = GridSpec(points_per_axis=grid)
+    if not gridspec.resolves(qnums):
+        raise click.UsageError(
+            f"Invalid value for '--grid': {grid} points leave at most two intervals "
+            f"per half-wavelength of n={max(n)}, where the charge quadrature aliases; "
+            f"need at least {2 * max(n) + 3}."
+        )
     box = BoxSpec(lengths) if lengths is not None else BoxSpec.cube(lc[0], dim=dim)
-    state = BoxState(box=box, qnums=QuantumNumbers(n), conjugated=conjugate)
-    gridspec = GridSpec(points_per_axis=grid, include_boundary=True)
+    state = BoxState(box=box, qnums=qnums, conjugated=conjugate)
 
     def build():
-        axes = [np.linspace(0.0, length, grid) for length in box.lengths]
-        rows = []
+        values = state.evaluate(gridspec.axes(box))
         names = ("x", "y", "z")[:dim]
-        for idx in np.ndindex(*([grid] * dim)):
-            if not gridspec.include_boundary and any(
-                i in (0, grid - 1) for i in idx
-            ):
-                continue
-            pos = tuple(axes[a][idx[a]] for a in range(dim))
-            s = state.sample(pos, time=0.0)
-            row = {name: float(v) for name, v in zip(names, pos)}
-            row["t"] = s.time
-            row["re_phi"] = s.spinor.upper.real
-            row["im_phi"] = s.spinor.upper.imag
-            row["re_chi"] = s.spinor.lower.real
-            row["im_chi"] = s.spinor.lower.imag
-            row["rho"] = s.rho
-            for a in range(dim):
-                row[f"j_{names[a]}"] = s.current[a]
-            rows.append(row)
+        table = {
+            name: coords.ravel()
+            for name, coords in zip(names, np.meshgrid(*values.axes, indexing="ij"))
+        }
+        table["t"] = np.full(values.rho.size, values.time)
+        table["re_phi"] = values.upper.real.ravel()
+        table["im_phi"] = values.upper.imag.ravel()
+        table["re_chi"] = values.lower.real.ravel()
+        table["im_chi"] = values.lower.imag.ravel()
+        table["rho"] = values.rho.ravel()
+        for name, current in zip(names, values.current):
+            table[f"j_{name}"] = current.ravel()
         summary = {
             "normalization": normalization_check(state, gridspec),
-            "max_abs_current": max(
-                abs(v) for row in rows for k, v in row.items() if k.startswith("j_")
-            ),
+            "max_abs_current": max(float(np.max(np.abs(j))) for j in values.current),
             "stationarity_residual": stationarity_residual(state, gridspec),
         }
-        return rows, summary
+        return table, summary
 
-    rows, summary = _run_guarded(build)
+    table, summary = _run_guarded(build)
     config = {
         "command": "field",
         "dim": dim,
@@ -399,7 +453,7 @@ def field(dim, n, lc, lengths, grid, conjugate, fmt, out, tol):
         "grid": grid,
         "conjugate": conjugate,
     }
-    _emit(rows, config, summary, fmt, out)
+    _emit(table, config, summary, fmt, out)
 
 
 def main():

@@ -21,6 +21,7 @@ from .core import BoxSpec, FVSpinor, QuantumNumbers, mode_amplitudes
 __all__ = [
     "GridSpec",
     "FieldSample",
+    "FieldGrid",
     "BoxState",
     "box_state_1d",
     "box_state_3d",
@@ -32,21 +33,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform sampling grid: points per axis, box faces included or not.
-
-    ``include_boundary`` governs which points a consumer samples; the
-    quadrature and stationarity checks always evaluate the closed box
-    (Simpson needs the end points, the stencil needs them as neighbours).
-    """
+    """Uniform sampling grid of the closed box: points per axis, faces included."""
 
     points_per_axis: int
-    include_boundary: bool = True
 
     def __post_init__(self):
         if self.points_per_axis < 3:
             raise ValueError(
                 f"need at least 3 points per axis, got {self.points_per_axis}"
             )
+
+    def axes(self, box: BoxSpec) -> tuple[np.ndarray, ...]:
+        """Coordinates of the grid along each box axis, both faces included."""
+        return tuple(np.linspace(0.0, length, self.points_per_axis) for length in box.lengths)
+
+    def resolves(self, qnums: QuantumNumbers) -> bool:
+        """Whether every axis has more than two grid intervals per half-wavelength.
+
+        The charge density sin^2(n pi x / L) has period L / n.  With at most
+        two intervals per half-wavelength (points - 1 <= 2 n) Simpson's rule
+        aliases it: n = 100 on 201 points integrates to 4/3, n = 200 to ~0.
+        """
+        return self.points_per_axis - 1 > 2 * max(qnums.indices)
 
 
 @dataclass(frozen=True)
@@ -97,58 +105,93 @@ class BoxState:
         """Normalization sqrt(2^d / V)."""
         return math.sqrt(2.0 ** self.box.dimension / self.box.volume())
 
-    def sample(self, position, time: float = 0.0) -> FieldSample:
-        """Evaluate the state at one point inside the closed box."""
-        pos = tuple(float(v) for v in position)
+    def evaluate(self, axes, time: float = 0.0) -> FieldGrid:
+        """Evaluate the state on the tensor grid spanned by per-axis coordinates.
+
+        ``axes`` holds one coordinate array per box axis, each inside the
+        closed box.  The profile, amplitudes, prefactor and phase are formed
+        once; every point is a product of per-axis sines.
+        """
+        axes = tuple(np.asarray(a, dtype=float).reshape(-1) for a in axes)
         dim = self.box.dimension
-        if len(pos) != dim:
-            raise ValueError(f"position has {len(pos)} components, box is {dim}D")
-        for v, length in zip(pos, self.box.lengths):
-            if not (0.0 <= v <= length):
-                raise ValueError(f"position {pos} outside the closed box")
-        xs = self.wavenumbers
-        sines = [_sine(xs[i], pos[i], self.box.lengths[i]) for i in range(dim)]
-        profile = math.prod(sines)
-        if profile == 0.0:
-            # On a box face (or a nodal plane): exact zeros, no -0.0 leaking
-            # from sign-carrying multiplications.
-            return FieldSample(
-                position=pos,
-                time=float(time),
-                spinor=FVSpinor(upper=0j, lower=0j),
-                rho=0.0,
-                current=(0.0,) * dim,
-            )
+        if len(axes) != dim:
+            raise ValueError(f"got {len(axes)} coordinate axes, box is {dim}D")
+        for coords, length in zip(axes, self.box.lengths):
+            if not np.all((coords >= 0.0) & (coords <= length)):
+                raise ValueError(f"coordinates {coords} outside the closed box [0, {length}]")
+        sines = _sine_profiles(self, axes)
         a_up, a_lo = self.amplitudes()
         pref = self.prefactor()
         phase = cmath.exp(-1j * self.scaled_energy * time)
+        profile = _outer(sines)
         upper = pref * a_up * profile * phase
         lower = pref * a_lo * profile * phase
-        rho = abs(upper) ** 2 - abs(lower) ** 2
         # Charge current from psi = upper + lower: J_k = Im(conj(psi) d_k psi).
-        psi = upper + lower
+        psi_conj = np.conj(upper + lower)
         current = []
-        for k in range(dim):
-            grad_profile = xs[k] * math.cos(xs[k] * pos[k])
-            for i in range(dim):
-                if i != k:
-                    grad_profile *= sines[i]
-            dpsi = pref * (a_up + a_lo) * grad_profile * phase
-            current.append((psi.conjugate() * dpsi).imag)
-        return FieldSample(
-            position=pos,
+        for k, x in enumerate(self.wavenumbers):
+            factors = list(sines)
+            factors[k] = x * np.cos(x * axes[k])
+            dpsi = pref * (a_up + a_lo) * _outer(factors) * phase
+            current.append(_unsigned((psi_conj * dpsi).imag))
+        return FieldGrid(
+            axes=axes,
             time=float(time),
-            spinor=FVSpinor(upper=upper, lower=lower),
-            rho=rho,
+            upper=_unsigned(upper),
+            lower=_unsigned(lower),
+            rho=_abs2(upper) - _abs2(lower),
             current=tuple(current),
         )
 
+    def sample(self, position, time: float = 0.0) -> FieldSample:
+        """Evaluate the state at one point inside the closed box: the array
+        evaluation on a one-point grid."""
+        pos = tuple(float(v) for v in position)
+        values = self.evaluate([(v,) for v in pos], time)
+        at = (0,) * len(pos)
+        return FieldSample(
+            position=pos,
+            time=values.time,
+            spinor=FVSpinor(upper=complex(values.upper[at]), lower=complex(values.lower[at])),
+            rho=float(values.rho[at]),
+            current=tuple(float(j[at]) for j in values.current),
+        )
 
-def _sine(wavenumber: float, coord: float, length: float) -> float:
-    # Exact zero on the faces: sin(n pi) in floats is only approximately 0.
-    if coord == 0.0 or coord == length:
-        return 0.0
-    return math.sin(wavenumber * coord)
+
+@dataclass(frozen=True)
+class FieldGrid:
+    """Field values on the tensor grid of ``axes``: spinor components, charge
+    density and current components as arrays of shape
+    ``(len(axes[0]), ..., len(axes[-1]))``, C order (last axis fastest).
+    Zeros are +0.0, never -0.0."""
+
+    axes: tuple[np.ndarray, ...]
+    time: float
+    upper: np.ndarray
+    lower: np.ndarray
+    rho: np.ndarray
+    current: tuple[np.ndarray, ...]
+
+
+def _outer(factors) -> np.ndarray:
+    """Tensor product of per-axis factors, multiplied in axis order."""
+    out = factors[0]
+    for factor in factors[1:]:
+        out = np.multiply.outer(out, factor)
+    return out
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    # |z|^2 through the C library's hypot and pow, as Python's abs(z) ** 2
+    # computes it, so the density keeps the values the per-point formula gave.
+    # np.abs(z) and z * z differ from those in the last bit of some values.
+    return np.float_power(np.hypot(z.real, z.imag), 2.0)
+
+
+def _unsigned(arr: np.ndarray) -> np.ndarray:
+    # Adding +0.0 turns the -0.0 left by sign-carrying products with exact
+    # zeros into +0.0 and leaves every other value as it is.
+    return arr + 0.0
 
 
 def _norm(xs) -> float:
@@ -186,16 +229,13 @@ def _simpson_weights(npoints: int, length: float) -> np.ndarray:
     return w * (h / 3.0)
 
 
-def _axis_grids(state: BoxState, npoints: int) -> list[np.ndarray]:
-    return [np.linspace(0.0, length, npoints) for length in state.box.lengths]
-
-
-def _sine_profiles(state: BoxState, grids: list[np.ndarray]) -> list[np.ndarray]:
-    xs = state.wavenumbers
+def _sine_profiles(state: BoxState, axes) -> list[np.ndarray]:
+    """sin(x_i r) along each axis, exactly zero on the box faces (sin(n pi)
+    in floats is only approximately 0)."""
     profiles = []
-    for x, grid, length in zip(xs, grids, state.box.lengths):
-        s = np.sin(x * grid)
-        s[(grid == 0.0) | (grid == length)] = 0.0
+    for x, coords, length in zip(state.wavenumbers, axes, state.box.lengths):
+        s = np.sin(x * coords)
+        s[(coords == 0.0) | (coords == length)] = 0.0
         profiles.append(s)
     return profiles
 
@@ -205,20 +245,15 @@ def normalization_check(state: BoxState, grid: GridSpec) -> float:
 
     The exact value is +1, or -1 for a conjugated state.  The quadrature
     value is returned as-is; judging whether the grid was fine enough is up
-    to the caller.
+    to the caller (see :meth:`GridSpec.resolves`).
     """
-    npoints = grid.points_per_axis
-    axes = _axis_grids(state, npoints)
-    profiles = _sine_profiles(state, axes)
-    weights = [_simpson_weights(npoints, length) for length in state.box.lengths]
+    profiles = _sine_profiles(state, grid.axes(state.box))
+    weights = [_simpson_weights(grid.points_per_axis, length) for length in state.box.lengths]
     a_up, a_lo = state.amplitudes()
     density_scale = (a_up * a_up - a_lo * a_lo) * state.prefactor() ** 2
+    rho = density_scale * _outer([p**2 for p in profiles])
     if state.box.dimension == 1:
-        rho = density_scale * profiles[0] ** 2
         return float(np.dot(weights[0], rho))
-    rho = density_scale * np.einsum(
-        "i,j,k->ijk", profiles[0] ** 2, profiles[1] ** 2, profiles[2] ** 2
-    )
     return float(np.einsum("i,j,k,ijk->", weights[0], weights[1], weights[2], rho))
 
 
@@ -243,19 +278,10 @@ def stationarity_residual(
     """
     if laplacian not in ("fd", "analytic"):
         raise ValueError(f"laplacian must be 'fd' or 'analytic', got {laplacian!r}")
-    npoints = grid.points_per_axis
-    if npoints < 3:
-        raise ValueError("need at least 3 points per axis for the stencil")
-    axes = _axis_grids(state, npoints)
-    profiles = _sine_profiles(state, axes)
+    profile = _outer(_sine_profiles(state, grid.axes(state.box)))
     a_up, a_lo = state.amplitudes()
     pref = state.prefactor()
     e_val = state.scaled_energy if energy is None else float(energy)
-
-    if state.box.dimension == 1:
-        profile = profiles[0]
-    else:
-        profile = np.einsum("i,j,k->ijk", profiles[0], profiles[1], profiles[2])
     upper = pref * a_up * profile
     lower = pref * a_lo * profile
     psum = upper + lower
@@ -263,7 +289,7 @@ def stationarity_residual(
     if laplacian == "analytic":
         lap = -sum(x * x for x in state.wavenumbers) * _interior(psum)
     else:
-        lap = _fd_laplacian(psum, state.box, npoints)
+        lap = _fd_laplacian(psum, state.box, grid.points_per_axis)
 
     kinetic_term = -0.5 * lap
     res_upper = kinetic_term + _interior(upper) - e_val * _interior(upper)

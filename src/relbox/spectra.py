@@ -156,7 +156,7 @@ def level_3d(
         model=model,
         qnums=qnums,
         wavenumbers=xs,
-        kinetic=dispersion(model, xs) if model == "nonrel" else kinetic,
+        kinetic=kinetic,
         degeneracy=1,
     )
 

@@ -8,6 +8,7 @@ enumeration instead of the adaptive level scan.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 
@@ -124,6 +125,27 @@ def lattice_count(lengths, max_kinetic: float, n_max: int, quadratic: bool = Fal
     else:
         kinetic = np.sqrt(norm_sq + 1.0) - 1.0
     return int(np.count_nonzero(kinetic <= max_kinetic))
+
+
+def box_state_closed_form(indices, lengths, position, time: float, conjugated: bool):
+    """(upper, lower, rho) of a box eigenstate at one point, from the formulas.
+
+    psi = sqrt(2^d / V) prod_i sin(n_i pi r_i / L_i) (phi0, chi0) exp(-i E t),
+    E = sqrt(1 + sum x_i^2), phi0 = (E + 1) / (2 sqrt(E)),
+    chi0 = (1 - E) / (2 sqrt(E)); the charge conjugate is the swapped and
+    complex-conjugated spinor.  The charge current of this standing wave is
+    zero everywhere.
+    """
+    xs = [n * math.pi / length for n, length in zip(indices, lengths)]
+    energy = math.sqrt(1.0 + math.fsum(x * x for x in xs))
+    root = 2.0 * math.sqrt(energy)
+    psi = (math.sqrt(2.0 ** len(lengths) / math.prod(lengths))
+           * math.prod(math.sin(x * r) for x, r in zip(xs, position))
+           * cmath.exp(-1j * energy * time))
+    upper, lower = psi * (energy + 1.0) / root, psi * (1.0 - energy) / root
+    if conjugated:
+        upper, lower = lower.conjugate(), upper.conjugate()
+    return upper, lower, abs(upper) ** 2 - abs(lower) ** 2
 
 
 def simpson_integral(values: np.ndarray, length: float) -> float:

@@ -6,10 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
-from relbox.cli import annotate_units, cli
+from relbox.cli import _columns, _fmt, _render, annotate_units, cli
 from relbox.errors import ConvergenceError
 from relbox.spectra import figure_table
 
@@ -175,10 +177,42 @@ def test_field_summary_normalization():
 
 def test_field_3d_rows():
     result = invoke("field", "--dim", "3", "--n", "1,1,2", "--lc", "1",
-                    "--grid", "5", "--format", "json")
+                    "--grid", "7", "--format", "json")
     payload = json.loads(result.output)
-    assert len(payload["rows"]) == 125
+    assert len(payload["rows"]) == 343
     assert abs(payload["summary"]["max_abs_current"]) <= 1e-12
+
+
+@pytest.mark.parametrize("dim,n,grid", [("1", "100", "201"), ("1", "200", "201"),
+                                        ("3", "1,1,2", "5")])
+def test_field_rejects_aliasing_grid(dim, n, grid):
+    # at most two intervals per half-wavelength: Simpson gives 4/3, ~0, 4/3
+    result = invoke("field", "--dim", dim, "--n", n, "--lc", "1", "--grid", grid)
+    assert result.exit_code == 2
+    assert "half-wavelength" in result.output
+
+
+def test_field_accepts_grid_just_above_aliasing():
+    result = invoke("field", "--dim", "1", "--n", "99", "--lc", "1", "--grid", "201",
+                    "--format", "json")
+    assert result.exit_code == 0
+    assert abs(json.loads(result.output)["summary"]["normalization"] - 1.0) <= 1e-12
+
+
+def test_field_large_wavenumber_runs():
+    # x = 1e4 pi / 1e-3: the amplitude identity holds only relative to phi0^2
+    result = invoke("field", "--dim", "1", "--n", "10000", "--lc", "0.001",
+                    "--grid", "40001", "--format", "json")
+    assert result.exit_code == 0, result.output
+    assert abs(json.loads(result.output)["summary"]["normalization"] - 1.0) <= 1e-6
+
+
+def test_field_prints_no_negative_zero():
+    for fmt in ("csv", "json"):
+        result = invoke("field", "--dim", "3", "--n", "1,2,1", "--lc", "1", "--grid", "9",
+                        "--format", fmt)
+        cells = result.output.replace(",", " ").replace("\n", " ").split()
+        assert "-0" not in cells and "-0.0" not in cells
 
 
 def test_field_validation_errors():
@@ -264,3 +298,73 @@ def test_preset_flag_adds_column():
                     "--levels", "1", "--preset", "electron", "--format", "json")
     row = json.loads(result.output)["rows"][0]
     assert row["box_angstrom"] == pytest.approx(1.158, rel=1e-12)
+
+
+# -- the column emitter -----------------------------------------------------
+
+def _old_csv(rows, summary):
+    """The per-cell CSV emitter the column emitter replaced."""
+    lines = [f"# {key}={_fmt(value)}" for key, value in (summary or {}).items()]
+    if rows:
+        columns = list(rows[0].keys())
+        lines.append(",".join(columns))
+        for row in rows:
+            lines.append(",".join(_fmt(row[c]) for c in columns))
+    return "\n".join(lines) + "\n"
+
+
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                1e16, 1e-7, 0.1, float("inf"), float("-inf"), float("nan"))
+floats = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))
+scalars = st.one_of(floats, st.integers(-2**70, 2**70), st.booleans(), st.none(),
+                    st.text(max_size=4))
+json_cells = st.recursive(scalars, lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+# the cell shapes the CSV format has: scalars, ';'-lists and '|'-lists of ';'-lists
+csv_cells = st.one_of(scalars, st.lists(scalars, max_size=3),
+                      st.lists(st.lists(scalars, max_size=3), min_size=1, max_size=3))
+
+
+@st.composite
+def tables(draw, cells):
+    """(rows as dicts, the same table as columns); float columns may be arrays."""
+    names = draw(st.lists(st.one_of(st.text(max_size=4), st.sampled_from(["%", "%s", "a%d"])),
+                          min_size=1, max_size=5, unique=True))
+    nrows = draw(st.integers(0, 6))
+    column_of = st.sampled_from(["float", "constant", "int", "any"])
+    columns = {}
+    for name in names:
+        kind = draw(column_of)
+        if kind == "constant":
+            values = [draw(floats)] * nrows
+        else:
+            values = draw(st.lists({"float": floats, "int": st.integers(-2**70, 2**70),
+                                    "any": cells}[kind], min_size=nrows, max_size=nrows))
+        columns[name] = values
+    rows = [{name: columns[name][i] for name in names} for i in range(nrows)]
+    as_arrays = draw(st.booleans())
+    table = {name: np.array(values, dtype=float)
+             if as_arrays and nrows and all(type(v) is float for v in values) else values
+             for name, values in columns.items()}
+    return rows, table
+
+
+def summaries(cells):
+    return st.one_of(st.none(), st.dictionaries(st.text(max_size=4), cells, max_size=3))
+
+
+@settings(deadline=None, max_examples=300)
+@given(tables(json_cells), st.dictionaries(st.text(max_size=4), json_cells, max_size=3),
+       summaries(json_cells))
+def test_render_json_matches_json_dumps(table, config, summary):
+    rows, columns = table
+    payload = {"config": config, "rows": rows, "summary": summary}
+    assert _render(columns, config, summary, "json") == json.dumps(payload, indent=2) + "\n"
+    assert _render(_columns(rows), config, summary, "json") == json.dumps(payload, indent=2) + "\n"
+
+
+@settings(deadline=None, max_examples=300)
+@given(tables(csv_cells), summaries(csv_cells))
+def test_render_csv_matches_per_cell_format(table, summary):
+    rows, columns = table
+    assert _render(columns, {}, summary, "csv") == _old_csv(rows, summary)
+    assert _render(_columns(rows), {}, summary, "csv") == _old_csv(rows, summary)

@@ -44,6 +44,21 @@ def test_amplitude_identity_checked_on_construction():
         ModeAmplitudes(phi0=1.0, chi0=0.0, branch=-1, scaled_energy=1.0)
 
 
+@pytest.mark.parametrize("wavenumber", [1e6, 23775.601096953123, 1e17])
+@pytest.mark.parametrize("branch", [+1, -1])
+def test_amplitude_identity_bound_scales_with_the_amplitudes(wavenumber, branch):
+    # phi0^2 - chi0^2 cancels from squares ~ wavenumber / 2, so an absolute
+    # bound on the identity rejects every large wavenumber (23775.6... is the
+    # 1D spin-1/2 ground state at L = 6.6e-5).
+    amps = mode_amplitudes(wavenumber, branch)
+    assert amps.scaled_energy == pytest.approx(wavenumber, rel=1e-9)
+    for phi0, chi0 in ((amps.phi0 * (1 + 1e-9), amps.chi0),
+                       (amps.phi0, amps.chi0 * (1 - 1e-9))):
+        with pytest.raises(ValueError, match="phi0"):
+            ModeAmplitudes(phi0=phi0, chi0=chi0, branch=branch,
+                           scaled_energy=amps.scaled_energy)
+
+
 def test_negative_branch_values():
     amps = mode_amplitudes(1.0, -1)
     assert amps.scaled_energy == pytest.approx(math.sqrt(2.0), rel=1e-15)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relbox import (
     BoxSpec,
@@ -19,7 +20,7 @@ from relbox import (
 )
 from relbox.fields import _simpson_weights
 
-from oracles import simpson_integral
+from oracles import box_state_closed_form, simpson_integral
 
 UNIT_1D = BoxState(box=BoxSpec((1.0,)), qnums=QuantumNumbers((1,)))
 UNIT_CUBE = BoxState(box=BoxSpec.cube(1.0), qnums=QuantumNumbers((1, 1, 1)))
@@ -300,3 +301,94 @@ def test_current_tau_form_vanishes_on_box_state():
             assert abs(_current_tau_form(spinor, gradient)) <= 1e-12
             sample = state.sample((x,), t)
             assert abs(sample.current[0]) <= 1e-12
+
+
+lengths_st = st.floats(min_value=0.1, max_value=10.0)
+
+
+@st.composite
+def states_and_axes(draw):
+    """A 1D, cubic or non-cubic 3D state (maybe conjugated) and per-axis
+    coordinates that often include the faces."""
+    dim = draw(st.sampled_from([1, 3]))
+    if dim == 3 and draw(st.booleans()):
+        lengths = (draw(lengths_st),) * 3
+    else:
+        lengths = tuple(draw(lengths_st) for _ in range(dim))
+    state = BoxState(box=BoxSpec(lengths),
+                     qnums=QuantumNumbers(tuple(draw(st.integers(1, 12)) for _ in range(dim))),
+                     conjugated=draw(st.booleans()))
+    fraction = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    axes = [[f * length for f in draw(st.lists(fraction, min_size=1, max_size=6))]
+            for length in lengths]
+    return state, axes
+
+
+@settings(deadline=None, max_examples=200)
+@given(states_and_axes(), st.one_of(st.just(0.0), st.floats(-50.0, 50.0)), st.data())
+def test_evaluate_matches_closed_form(state_axes, t, data):
+    state, axes = state_axes
+    lengths = state.box.lengths
+    values = state.evaluate(axes, t)
+    shape = tuple(len(a) for a in axes)
+    fields = [values.upper, values.lower, values.rho, *values.current]
+    assert all(f.shape == shape for f in fields)
+    assert values.time == t and len(values.current) == len(lengths)
+    xs = state.wavenumbers
+    energy = math.sqrt(1.0 + sum(x * x for x in xs))
+    amp = state.prefactor() * (math.sqrt(energy) + 1.0)  # bounds |phi0| + |chi0|
+    tol = 1e-10 * amp
+    for index in np.ndindex(*shape):
+        pos = tuple(axes[a][i] for a, i in enumerate(index))
+        got = [complex(f[index]) for f in fields]
+        if any(r in (0.0, length) for r, length in zip(pos, lengths)):
+            # exact +0.0 on the faces, no -0.0
+            parts = [p for v in got for p in (v.real, v.imag)]
+            assert all(p == 0.0 and math.copysign(1.0, p) == 1.0 for p in parts)
+            continue
+        upper, lower, rho = box_state_closed_form(
+            state.qnums.indices, lengths, pos, t, state.conjugated)
+        assert abs(got[0] - upper) <= tol and abs(got[1] - lower) <= tol
+        assert abs(got[2] - rho) <= tol * amp
+        assert all(abs(j) <= 1e-12 * amp * amp * max(xs) for j in got[3:])
+    # the pointwise sampler returns the array values bit for bit
+    for _ in range(3):
+        index = tuple(data.draw(st.integers(0, n - 1)) for n in shape)
+        s = state.sample(tuple(axes[a][i] for a, i in enumerate(index)), t)
+        assert s.spinor.upper == values.upper[index]
+        assert s.spinor.lower == values.lower[index]
+        assert s.rho == values.rho[index]
+        assert s.current == tuple(float(j[index]) for j in values.current)
+
+
+def _scalar_sample(state, pos, t):
+    """The per-point formula the array evaluation replaced: (upper, lower, rho)."""
+    sines = [0.0 if r in (0.0, length) else math.sin(x * r)
+             for x, r, length in zip(state.wavenumbers, pos, state.box.lengths)]
+    a_up, a_lo = state.amplitudes()
+    phase = cmath.exp(-1j * state.scaled_energy * t)
+    upper = state.prefactor() * a_up * math.prod(sines) * phase
+    lower = state.prefactor() * a_lo * math.prod(sines) * phase
+    return upper, lower, abs(upper) ** 2 - abs(lower) ** 2
+
+
+@settings(deadline=None, max_examples=100)
+@given(states_and_axes(), st.one_of(st.just(0.0), st.floats(-50.0, 50.0)))
+def test_evaluate_reproduces_the_scalar_formula(state_axes, t):
+    # same operations in the same order, so equal values (up to the sign of 0)
+    state, axes = state_axes
+    values = state.evaluate(axes, t)
+    for index in np.ndindex(*values.rho.shape):
+        pos = tuple(axes[a][i] for a, i in enumerate(index))
+        assert _scalar_sample(state, pos, t) == (
+            values.upper[index], values.lower[index], values.rho[index])
+
+
+def test_evaluate_rejects_points_outside_the_box():
+    with pytest.raises(ValueError):
+        UNIT_CUBE.evaluate([[0.5], [0.2, 1.5], [0.1]])
+    with pytest.raises(ValueError):
+        UNIT_1D.evaluate([[float("nan")]])
+    with pytest.raises(ValueError):
+        UNIT_CUBE.evaluate([[0.5], [0.5]])
+

@@ -29,14 +29,12 @@ from .fields import (
 )
 from .rootfind import (
     DEFAULT_CONFIG,
-    RootBranch,
     SolverConfig,
     dirac_wavenumber_1d,
     dirac_wavenumbers_3d,
     kg_wavenumber_1d,
     kg_wavenumbers_3d,
     solve_bracketed,
-    tangent_branch,
 )
 from .spectra import (
     MODELS,
@@ -62,10 +60,8 @@ __all__ = [
     "nonrel_kinetic_energy",
     "charge_conjugate",
     "SolverConfig",
-    "RootBranch",
     "DEFAULT_CONFIG",
     "solve_bracketed",
-    "tangent_branch",
     "kg_wavenumber_1d",
     "dirac_wavenumber_1d",
     "kg_wavenumbers_3d",

@@ -261,7 +261,7 @@ def cli():
     "--preset", type=click.Choice(["electron", "pion", "none"]), default="none",
     show_default=True, help="Annotate box sizes in physical units.",
 )
-@click.option("--tol", type=float, default=None, help="Solver relative tolerance.")
+@click.option("--tol", type=float, default=None, help="3D fixed-point relative tolerance.")
 @click.pass_context
 def spectrum(ctx, dim, model, lc, lengths, levels, tmax, spin_counting, fmt, out, preset, tol):
     """Tabulate energy levels: the data behind the comparison figures.
@@ -335,7 +335,7 @@ def spectrum(ctx, dim, model, lc, lengths, levels, tmax, spin_counting, fmt, out
     show_default=True,
 )
 @click.option("--out", type=click.Path(), default=None)
-@click.option("--tol", type=float, default=None)
+@click.option("--tol", type=float, default=None, help="3D fixed-point relative tolerance.")
 @click.pass_context
 def count(ctx, dim, model, lc, lengths, tmax, spin_counting, fmt, out, tol):
     """Count states with kinetic energy at or below the cutoff."""

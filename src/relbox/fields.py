@@ -243,14 +243,20 @@ def _sine_profiles(state: BoxState, axes) -> list[np.ndarray]:
 def normalization_check(state: BoxState, grid: GridSpec) -> float:
     """Composite-Simpson quadrature of the charge density over the box.
 
-    The exact value is +1, or -1 for a conjugated state.  The quadrature
-    value is returned as-is; judging whether the grid was fine enough is up
-    to the caller (see :meth:`GridSpec.resolves`).
+    The exact value is +1, or -1 for a conjugated state.  The density is
+    ``±prefactor^2`` times the squared profile, by the amplitude identity
+    ``|upper|^2 - |lower|^2 = ±1``; forming that difference would cancel at
+    large wavenumbers.  Raises ``ValueError`` on a grid that aliases the
+    state (see :meth:`GridSpec.resolves`) or has an even point count.
     """
+    if not grid.resolves(state.qnums):
+        raise ValueError(
+            f"{grid.points_per_axis} points per axis alias quantum numbers "
+            f"{state.qnums.indices}: need points - 1 > 2 n_i"
+        )
     profiles = _sine_profiles(state, grid.axes(state.box))
     weights = [_simpson_weights(grid.points_per_axis, length) for length in state.box.lengths]
-    a_up, a_lo = state.amplitudes()
-    density_scale = (a_up * a_up - a_lo * a_lo) * state.prefactor() ** 2
+    density_scale = (-1.0 if state.conjugated else 1.0) * state.prefactor() ** 2
     rho = density_scale * _outer([p**2 for p in profiles])
     if state.box.dimension == 1:
         return float(np.dot(weights[0], rho))

@@ -4,7 +4,9 @@ The spin-1/2 box quantization replaces the node-at-the-wall rule by
 transcendental equations: in 1D a single tangent equation per level, in 3D a
 set of three coupled tangent equations sharing the total kinetic energy.
 This module provides a bracketed scalar solver (Brent's method) plus the 1D
-and 3D wavenumber solvers built on top of it.
+and 3D wavenumber solvers built on top of it.  Each wavenumber is solved in
+the pole-free (smooth) form of its equation, whose sign changes exactly once
+on the branch [(n - 1/2) pi, n pi], and polished on the tangent form.
 
 All wavenumbers are dimensionless (k * lambda_C) and all box lengths are in
 Compton units; see :mod:`relbox.core`.
@@ -21,23 +23,13 @@ from .errors import BracketError, ConvergenceError
 
 __all__ = [
     "SolverConfig",
-    "RootBranch",
     "DEFAULT_CONFIG",
     "solve_bracketed",
-    "tangent_branch",
     "kg_wavenumber_1d",
     "dirac_wavenumber_1d",
     "kg_wavenumbers_3d",
     "dirac_wavenumbers_3d",
 ]
-
-# Brackets are pulled off the tangent poles by this margin.
-BRACKET_SHRINK = 1e-9 * math.pi
-
-# Tolerance pushing the scalar sub-solves to the float64 limit; the tangent
-# equations are stiff near the poles, so anything looser leaks into the
-# transcendental residual.
-_MACHINE_REL_TOL = 2e-15
 
 _EPS = math.ulp(1.0)
 
@@ -62,34 +54,10 @@ class SolverConfig:
 
 DEFAULT_CONFIG = SolverConfig()
 
-
-@dataclass(frozen=True)
-class RootBranch:
-    """Open interval holding exactly one root of a tangent-type equation."""
-
-    n: int
-    bracket_lo: float
-    bracket_hi: float
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"branch index starts at 1, got {self.n}")
-        if not (self.bracket_lo < self.bracket_hi):
-            raise ValueError("bracket_lo must be below bracket_hi")
-
-
-def tangent_branch(n: int) -> RootBranch:
-    """The nth root interval ((n - 1/2) pi, n pi) of tan(y) = (negative RHS).
-
-    The right-hand sides solved here are negative for y > 0, so every root
-    sits where the tangent is negative.  The end points are shrunk inward to
-    keep the solver away from the tangent poles.
-    """
-    if n < 1:
-        raise ValueError(f"branch index starts at 1, got {n}")
-    lo = (n - 0.5) * math.pi + BRACKET_SHRINK
-    hi = n * math.pi - BRACKET_SHRINK
-    return RootBranch(n=n, bracket_lo=lo, bracket_hi=hi)
+# Tolerance pushing the scalar sub-solves to the float64 limit; the tangent
+# equations are stiff near the poles, so anything looser leaks into the
+# transcendental residual.
+_SCALAR_CFG = SolverConfig(rel_tol=2e-15)
 
 
 def solve_bracketed(
@@ -208,61 +176,20 @@ def _polish(f: Callable[[float], float], root: float, lo: float, hi: float) -> f
     return best
 
 
-def _machine_cfg(cfg: SolverConfig) -> SolverConfig:
-    """``cfg`` with ``rel_tol`` tightened to the float64 limit, built once
-    per wavenumber solve for all of its scalar sub-solves."""
-    if cfg.rel_tol <= _MACHINE_REL_TOL:
-        return cfg
-    return SolverConfig(
-        rel_tol=_MACHINE_REL_TOL, max_scalar_iters=cfg.max_scalar_iters
-    )
-
-
-def _solve_tangent_branch(
-    f: Callable[[float], float],
-    n: int,
-    scalar_cfg: SolverConfig,
-    pole_y: float | None = None,
+def _solve_branch(
+    g: Callable[[float], float], f: Callable[[float], float], n: int
 ) -> float:
-    """Root of ``f`` (a function of y) inside the nth tangent branch.
+    """Root in the nth branch [(n - 1/2) pi, n pi] of the smooth form ``g``,
+    polished on the tangent form ``f`` (same roots, with poles).
 
-    ``pole_y`` marks a pole of the right-hand side; when it falls inside the
-    branch interval the bracket is clipped just below it (the root always
-    lies between the branch edge and that pole).  If the default bracket
-    fails to straddle zero, the interval is sign-scanned as a fallback; if
-    that finds nothing either, the root is looked for between the tangent
-    pole at the branch edge and the shrunk bracket (very small boxes put it
-    closer to the pole than ``BRACKET_SHRINK``).
+    ``g`` is continuous on the branch and changes sign there exactly once,
+    so its end points bracket the root.  ``BracketError`` is raised only when
+    the root is within half an ulp of the tangent pole at the lower end,
+    which the float nearest (n - 1/2) pi may then overshoot.
     """
-    branch = tangent_branch(n)
-    lo, hi = branch.bracket_lo, branch.bracket_hi
-    if pole_y is not None and pole_y <= hi:
-        hi = pole_y - max(BRACKET_SHRINK, abs(pole_y) * 1e-12)
-        if hi <= lo:
-            raise BracketError(
-                f"branch {n} collapsed: pole at y={pole_y} sits at the branch edge"
-            )
-    try:
-        return solve_bracketed(f, lo, hi, scalar_cfg)
-    except BracketError:
-        pass
-    # Fallback: look for a sign change on a uniform scan of the branch.
-    nscan = 64
-    ys = [lo + (hi - lo) * k / nscan for k in range(nscan + 1)]
-    vals = [f(y) for y in ys]
-    for k in range(nscan):
-        if math.copysign(1.0, vals[k]) != math.copysign(1.0, vals[k + 1]):
-            return solve_bracketed(f, ys[k], ys[k + 1], scalar_cfg)
-    # Last resort: between the first float past the branch-edge pole (where
-    # the tangent has turned negative) and the shrunk bracket.
-    edge = (n - 0.5) * math.pi
-    while not math.tan(edge) < 0.0:
-        edge = math.nextafter(edge, math.inf)
-    try:
-        return solve_bracketed(f, edge, lo, scalar_cfg)
-    except BracketError:
-        pass
-    raise BracketError(f"no root found in tangent branch {n} on [{edge}, {hi}]")
+    lo, hi = (n - 0.5) * math.pi, n * math.pi
+    root = solve_bracketed(g, lo, hi, _SCALAR_CFG)
+    return _polish(f, root, lo, hi)
 
 
 def kg_wavenumber_1d(n: int, box_length: float) -> float:
@@ -271,21 +198,22 @@ def kg_wavenumber_1d(n: int, box_length: float) -> float:
     return n * math.pi / box_length
 
 
-def dirac_wavenumber_1d(
-    n: int, box_length: float, cfg: SolverConfig = DEFAULT_CONFIG
-) -> float:
+def dirac_wavenumber_1d(n: int, box_length: float) -> float:
     """nth spin-1/2 box wavenumber: root of tan(y) = -y / L with y = x L.
 
     The root lies in ((n - 1/2) pi, n pi), strictly below the spin-0 value
-    n pi / L, and approaches it as the box grows.
+    n pi / L, and approaches it as the box grows.  It is solved as the zero
+    of L sin(y) + y cos(y), which has no poles.
     """
     _check_1d_args(n, box_length)
+
+    def g(y: float) -> float:
+        return box_length * math.sin(y) + y * math.cos(y)
 
     def f(y: float) -> float:
         return math.tan(y) + y / box_length
 
-    y = _solve_tangent_branch(f, n, _machine_cfg(cfg))
-    return y / box_length
+    return _solve_branch(g, f, n) / box_length
 
 
 def _check_1d_args(n: int, box_length: float) -> None:
@@ -316,8 +244,8 @@ def dirac_wavenumbers_3d(
 
     with the shared kinetic energy T = sqrt(|x|^2 + 1) - 1.  Starting from
     the spin-0 wavenumbers, the solver alternates between recomputing T and
-    re-solving each axis inside its tangent branch (bracket clipped below
-    the pole of the right-hand side at x_i = T + 2).  Iteration stops when
+    re-solving each axis inside its branch, in the pole-free form
+    sin(y) (x^2 - e^2) - 2 e x cos(y) with e = T + 2.  Iteration stops when
     the largest relative update drops below ``cfg.rel_tol``; if updates
     start alternating in sign, the damping factor falls back to 0.5.
 
@@ -330,15 +258,12 @@ def dirac_wavenumbers_3d(
     n = qnums.indices
     lengths = box.lengths
     xs = [n[i] * math.pi / lengths[i] for i in range(3)]
-    scalar_cfg = _machine_cfg(cfg)
     damping = cfg.damping
     prev_delta = None
     history: list[float] = []
     for _ in range(cfg.max_fixed_point_iters):
         e_sum = _kinetic(xs) + 2.0
-        roots = [
-            _solve_axis(n[i], lengths[i], e_sum, scalar_cfg) for i in range(3)
-        ]
+        roots = [_solve_axis(n[i], lengths[i], e_sum) for i in range(3)]
         delta = [roots[i] - xs[i] for i in range(3)]
         if prev_delta is not None and any(
             d * p < 0.0 for d, p in zip(delta, prev_delta)
@@ -359,17 +284,22 @@ def dirac_wavenumbers_3d(
     )
 
 
-def _solve_axis(
-    n_i: int, length: float, e_sum: float, scalar_cfg: SolverConfig
-) -> float:
-    """One scalar sub-solve of the coupled system at fixed energy sum."""
+def _solve_axis(n_i: int, length: float, e_sum: float) -> float:
+    """One scalar sub-solve of the coupled system at fixed energy sum.
+
+    Where x >= e_sum both terms of the smooth form take the sign of sin(y)
+    on the branch, so its only zero there is the root (at x < e_sum).
+    """
+
+    def g(y: float) -> float:
+        x = y / length
+        return math.sin(y) * (x * x - e_sum * e_sum) - 2.0 * e_sum * x * math.cos(y)
 
     def f(y: float) -> float:
         x = y / length
         return math.tan(y) - 2.0 * e_sum * x / (x * x - e_sum * e_sum)
 
-    y = _solve_tangent_branch(f, n_i, scalar_cfg, pole_y=e_sum * length)
-    return y / length
+    return _solve_branch(g, f, n_i) / length
 
 
 def _kinetic(xs) -> float:

@@ -118,12 +118,10 @@ def _spin_factor(model: str, spin_counting: bool) -> int:
     return 2 if (spin_counting and model == "dirac") else 1
 
 
-def level_1d(
-    model: str, n: int, box_length: float, cfg: SolverConfig = DEFAULT_CONFIG
-) -> Level:
+def level_1d(model: str, n: int, box_length: float) -> Level:
     """The nth 1D level of the given model (degeneracy left at 1)."""
     if model == "dirac":
-        x = dirac_wavenumber_1d(n, box_length, cfg)
+        x = dirac_wavenumber_1d(n, box_length)
     elif model in ("kg", "nonrel"):
         x = kg_wavenumber_1d(n, box_length)
     else:
@@ -173,10 +171,10 @@ def enumerate_levels(
     edge (n_i - 1/2) pi / L_i, which bounds every root from below) until
     that bound exceeds the cutoff.  If a mode that can still matter has an
     index above ``lattice_max``, CapacityError is raised rather than
-    silently truncating.
+    silently truncating.  ``cfg`` drives the 3D spin-1/2 fixed-point solve.
     """
     if request.box.dimension == 1:
-        return _enumerate_1d(request, cfg, lattice_max)
+        return _enumerate_1d(request, lattice_max)
     return _enumerate_3d(request, cfg, lattice_max)
 
 
@@ -202,9 +200,7 @@ def _lower_bound_wavenumber(model: str, n: int, length: float) -> float:
     return n * math.pi / length
 
 
-def _enumerate_1d(
-    request: SpectrumRequest, cfg: SolverConfig, lattice_max: int | None
-) -> list[Level]:
+def _enumerate_1d(request: SpectrumRequest, lattice_max: int | None) -> list[Level]:
     cap = DEFAULT_LATTICE_MAX_1D if lattice_max is None else lattice_max
     box_length = request.box.lengths[0]
     spin = _spin_factor(request.model, request.spin_counting)
@@ -218,7 +214,7 @@ def _enumerate_1d(
                 f"1D enumeration needs indices above the lattice bound {cap}",
                 lattice_max=cap,
             )
-        level = level_1d(request.model, n, box_length, cfg)
+        level = level_1d(request.model, n, box_length)
         if request.max_kinetic is not None and level.kinetic > request.max_kinetic:
             return levels
         levels.append(

@@ -176,6 +176,16 @@ def test_normalization_requires_odd_grid():
         normalization_check(UNIT_1D, GridSpec(200))
 
 
+@pytest.mark.parametrize("n, npoints", [(100, 201), (200, 201), (2, 5)])
+def test_normalization_refuses_aliasing_grid(n, npoints):
+    # Simpson's rule would return 4/3 for n = 100 on 201 points
+    state = BoxState(box=BoxSpec((1.0,)), qnums=QuantumNumbers((n,)))
+    with pytest.raises(ValueError, match="alias"):
+        normalization_check(state, GridSpec(npoints))
+    with pytest.raises(ValueError, match="alias"):
+        normalization_check(conjugated_state(state), GridSpec(npoints))
+
+
 def test_gridspec_validation():
     with pytest.raises(ValueError):
         GridSpec(2)

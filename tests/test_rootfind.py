@@ -4,7 +4,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from relbox import (
     DEFAULT_CONFIG,
@@ -18,9 +18,8 @@ from relbox import (
     kg_wavenumber_1d,
     kg_wavenumbers_3d,
     solve_bracketed,
-    tangent_branch,
 )
-from relbox.rootfind import BRACKET_SHRINK, _polish
+from relbox.rootfind import _polish
 
 from oracles import dirac_root_1d, newton_wavenumbers_3d
 
@@ -78,26 +77,23 @@ _MACHINE_CFG = SolverConfig(rel_tol=2e-15)
 )
 def test_solve_bracketed_matches_scipy_brentq_bitwise(n, log_length, kinetic, cfg):
     """The in-house Brent solver returns exactly scipy's float (plus the
-    same polish) on the 1D and 3D tangent brackets the library solves."""
+    same polish) on the smooth 1D and 3D forms over the exact branch
+    brackets the library solves."""
     optimize = pytest.importorskip("scipy.optimize")
     box_length = 10.0**log_length
-    branch = tangent_branch(n)
-    lo, hi = branch.bracket_lo, branch.bracket_hi
+    lo, hi = (n - 0.5) * math.pi, n * math.pi
     if kinetic is None:
         def f(y):
-            return math.tan(y) + y / box_length
+            return box_length * math.sin(y) + y * math.cos(y)
     else:
         e_sum = kinetic + 2.0
 
         def f(y):
             x = y / box_length
-            return math.tan(y) - 2.0 * e_sum * x / (x * x - e_sum * e_sum)
+            return math.sin(y) * (x * x - e_sum * e_sum) - 2.0 * e_sum * x * math.cos(y)
 
-        pole_y = e_sum * box_length
-        if pole_y <= hi:
-            hi = pole_y - max(BRACKET_SHRINK, pole_y * 1e-12)
-    if not (lo < hi and f(lo) * f(hi) < 0.0):
-        return  # not a bracket the library would hand to the solver
+    if not f(lo) * f(hi) < 0.0:
+        return  # no root on this branch for the solver to find
     expected = optimize.brentq(
         f,
         lo,
@@ -118,14 +114,6 @@ def test_solve_bracketed_stays_inside(root, below, above):
     lo, hi = root - below, root + above
     result = solve_bracketed(lambda x: (x - root) ** 3 + 0.1 * (x - root), lo, hi)
     assert lo <= result <= hi
-
-
-def test_tangent_branch_intervals():
-    b = tangent_branch(3)
-    assert b.bracket_lo > 2.5 * math.pi
-    assert b.bracket_hi < 3.0 * math.pi
-    with pytest.raises(ValueError):
-        tangent_branch(0)
 
 
 def test_kg_wavenumber_values():
@@ -197,12 +185,41 @@ def test_dirac_1d_first_order_shift_bound(box_length):
     "n, box_length", [(19, 1e-7), (20, 1e-7), (2, 1e-8), (5, 1e-9)]
 )
 def test_dirac_1d_root_inside_bracket_shrink(n, box_length):
-    # the root lies closer to the tangent pole than BRACKET_SHRINK
+    # the root lies closer to the tangent pole than a bracket margin of
+    # 1e-9 pi would leave
     y = box_length * dirac_wavenumber_1d(n, box_length)
-    assert (n - 0.5) * math.pi < y < (n - 0.5) * math.pi + BRACKET_SHRINK
+    assert (n - 0.5) * math.pi < y < (n - 0.5) * math.pi + 1e-9 * math.pi
     assert dirac_wavenumber_1d(n, box_length) == pytest.approx(
         dirac_root_1d(n, box_length), rel=1e-12
     )
+
+
+@settings(deadline=None, max_examples=500)
+@given(
+    log_length=st.floats(min_value=-8.0, max_value=8.0),
+    n=st.integers(min_value=1, max_value=10**6),
+)
+def test_dirac_1d_root_in_branch_and_matches_oracle(log_length, n):
+    """Any box from 1e-8 to 1e8 and any n up to 1e6: the root lies in its
+    branch and agrees with the bisection oracle; BracketError only when the
+    root is within half an ulp of the tangent pole."""
+    box_length = 10.0**log_length
+    pole = (n - 0.5) * math.pi
+    try:
+        x = dirac_wavenumber_1d(n, box_length)
+    except BracketError:
+        # the root sits about L / y above the pole at y = (n - 1/2) pi
+        assert box_length / pole < math.ulp(pole) / 2
+        return
+    assert pole / box_length <= x <= n * math.pi / box_length
+
+    def f(y):
+        return math.tan(y) + y / box_length
+
+    # the oracle needs its own bracket (the branch pulled in by 1e-12) to
+    # change sign, which fails where the root is that close to the pole
+    assume(f(pole + 1e-12) * f(n * math.pi - 1e-12) < 0.0)
+    assert x == pytest.approx(dirac_root_1d(n, box_length), rel=1e-12)
 
 
 def test_dirac_1d_domain_errors():
@@ -279,6 +296,20 @@ def test_dirac_3d_non_cubic_box():
     assert _coupled_residual_tan((x1, x2, x3), kinetic, box.lengths) <= 1e-10
     nw = newton_wavenumbers_3d((2, 1, 1), box.lengths)
     assert (x1, x2, x3) == pytest.approx(nw[:3], abs=1e-10)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    log_lengths=st.tuples(*[st.floats(min_value=-1.0, max_value=3.0)] * 3),
+    n=st.tuples(*[st.integers(min_value=1, max_value=20)] * 3),
+)
+def test_dirac_3d_matches_newton_oracle_anywhere(log_lengths, n):
+    lengths = tuple(10.0**v for v in log_lengths)
+    fp = dirac_wavenumbers_3d(QuantumNumbers(n), BoxSpec(lengths))
+    nw = newton_wavenumbers_3d(n, lengths)
+    for a, b, ni, length in zip(fp[:3], nw[:3], n, lengths):
+        assert (ni - 0.5) * math.pi / length <= a <= ni * math.pi / length
+        assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_dirac_3d_damped_configuration_agrees():

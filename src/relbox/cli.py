@@ -3,7 +3,8 @@
 Three subcommands (``spectrum``, ``count``, ``field``) emit deterministic
 CSV or JSON.  Floats are serialized with 17 significant digits so repeated
 runs are byte-identical and values survive a parse round trip.  Exit codes:
-0 success, 2 bad usage, 3 solver failure, 4 enumeration capacity exceeded.
+0 success, 2 bad usage, 3 solver failure, 4 enumeration capacity exceeded
+(for ``count``: a 3D spin-1/2 solve needed beyond the lattice bound).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .core import BoxSpec, QuantumNumbers
 from .errors import BracketError, CapacityError, ConvergenceError
 from .fields import BoxState, GridSpec, normalization_check, stationarity_residual
 from .rootfind import DEFAULT_CONFIG, SolverConfig
-from .spectra import MODELS, SpectrumRequest, _level_row, enumerate_levels
+from .spectra import MODELS, SpectrumRequest, _level_row, count_states, enumerate_levels
 
 __all__ = ["cli", "main", "annotate_units"]
 
@@ -67,9 +68,8 @@ def _fmt(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, (list, tuple)):
-        if value and isinstance(value[0], (list, tuple)):
-            return "|".join(";".join(_fmt(v) for v in item) for item in value)
-        return ";".join(_fmt(v) for v in value)
+        nested = any(isinstance(item, (list, tuple)) for item in value)
+        return ("|" if nested else ";").join(map(_fmt, value))
     return str(value)
 
 
@@ -341,8 +341,8 @@ def count(ctx, dim, model, lc, lengths, tmax, spin_counting, fmt, out, tol):
     """Count states with kinetic energy at or below the cutoff."""
     dim = int(dim)
     _reject_lc_with_lengths(ctx, lengths)
-    if not (tmax > 0.0):
-        raise click.UsageError("Invalid value for '--tmax': must be > 0.")
+    if not (0.0 < tmax < math.inf):
+        raise click.UsageError("Invalid value for '--tmax': must be > 0 and finite.")
     cfg = _solver_config(tol)
     boxes = _boxes(dim, lc, lengths)
     models = _expand_models(model)
@@ -351,10 +351,7 @@ def count(ctx, dim, model, lc, lengths, tmax, spin_counting, fmt, out, tol):
         rows = []
         for m in [m for m in MODELS if m in models]:
             for cell, box in boxes:
-                request = SpectrumRequest(
-                    model=m, box=box, max_kinetic=tmax, spin_counting=spin_counting
-                )
-                total = sum(lv.degeneracy for lv in enumerate_levels(request, cfg))
+                total = count_states(m, box, tmax, spin_counting, cfg)
                 rows.append(
                     {"model": m, "dim": dim, "lc": cell, "tmax": tmax, "count": total}
                 )

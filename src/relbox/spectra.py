@@ -114,6 +114,13 @@ def dispersion(model: str, wavenumbers: tuple[float, ...]) -> float:
     raise ValueError(f"unknown model {model!r}")
 
 
+def _norm_sq_budget(model: str, kinetic: float) -> float:
+    """Largest |x|^2 whose kinetic energy is at most ``kinetic`` (0 if < 0)."""
+    if kinetic <= 0.0:
+        return 0.0
+    return 2.0 * kinetic if model == "nonrel" else kinetic * (kinetic + 2.0)
+
+
 def _spin_factor(model: str, spin_counting: bool) -> int:
     return 2 if (spin_counting and model == "dirac") else 1
 
@@ -186,18 +193,176 @@ def count_states(
     cfg: SolverConfig = DEFAULT_CONFIG,
     lattice_max: int | None = None,
 ) -> int:
-    """Degeneracy-weighted number of states with kinetic <= max_kinetic."""
-    request = SpectrumRequest(
-        model=model, box=box, max_kinetic=max_kinetic, spin_counting=spin_counting
-    )
-    levels = enumerate_levels(request, cfg, lattice_max)
-    return sum(level.degeneracy for level in levels)
+    """Degeneracy-weighted number of states with kinetic <= max_kinetic.
+
+    Equal to the degeneracy sum of ``enumerate_levels`` for the same cutoff,
+    but most modes are counted without a solve.  A mode's kinetic energy
+    lies in [lo, hi]: for spin-1/2, lo is the energy at the branch edges
+    (n_i - 1/2) pi / L_i and hi the spin-0 energy of the same indices; for
+    kg and nonrel both are the exact energy.  Modes with
+    hi <= T (1 - 2 MERGE_REL_TOL), the interior, count as they are (in 3D
+    one floor per (n1, n2) column); modes with lo > T (1 + MERGE_REL_TOL)
+    cannot reach the cutoff, as in enumeration; only the shell in between
+    is solved and merged.  ``lattice_max`` bounds the indices of the 3D
+    spin-1/2 modes that must be solved; counting alone needs no cap.
+    """
+    SpectrumRequest(model=model, box=box, max_kinetic=max_kinetic)  # validates
+    if not math.isfinite(max_kinetic):
+        raise ValueError("max_kinetic must be finite to count states")
+    if box.dimension == 1:
+        total = _count_1d(model, box.lengths[0], max_kinetic)
+    else:
+        total = _count_3d(model, box, max_kinetic, cfg, lattice_max)
+    return total * _spin_factor(model, spin_counting)
+
+
+# Relative bound on how far a computed energy can sit above the hi bound of
+# its mode: a spin-1/2 solve against the spin-0 energy, and an interior mode
+# against the threshold its column floor was taken at.  Both differ by a few
+# ulps of rounding only.
+_ROUNDING_REL = 1e-12
+
+
+def _count_1d(model: str, length: float, max_kinetic: float) -> int:
+    """1D levels rise strictly with n and never merge: every n up to
+    L sqrt(|x|^2 max) / pi at the interior threshold counts, and n steps on
+    from there through the shell until a level exceeds the cutoff."""
+    budget = _norm_sq_budget(model, max_kinetic * (1.0 - 2.0 * MERGE_REL_TOL))
+    n = math.floor(length * math.sqrt(budget) / math.pi)
+    limit = max_kinetic * (1.0 + MERGE_REL_TOL)
+    while _lower_bound(model, (n + 1,), (length,)) <= limit:
+        if level_1d(model, n + 1, length).kinetic > max_kinetic:
+            break
+        n += 1
+    return n
+
+
+def _count_3d(
+    model: str,
+    box: BoxSpec,
+    max_kinetic: float,
+    cfg: SolverConfig,
+    lattice_max: int | None,
+) -> int:
+    cap = DEFAULT_LATTICE_MAX_3D if lattice_max is None else lattice_max
+    limit = max_kinetic * (1.0 + MERGE_REL_TOL)
+    solved: dict[tuple[int, int, int], Level] = {}
+
+    def solve(triple):
+        if triple not in solved:
+            if model == "dirac" and max(triple) > cap:
+                raise CapacityError(
+                    f"3D count needs spin-1/2 solves above the lattice bound {cap}",
+                    lattice_max=cap,
+                )
+            solved[triple] = level_3d(model, QuantumNumbers(triple), box, cfg)
+        return solved[triple]
+
+    def split(threshold):
+        inside, shell = _split_lattice(model, box, threshold, limit)
+        return inside, [(solve(triple), weight) for triple, weight in shell]
+
+    return _count_from_shell(split, max_kinetic)
+
+
+def _split_lattice(model: str, box: BoxSpec, threshold: float, limit: float):
+    """(interior weight, shell (triple, weight) pairs) of the 3D lattice.
+
+    Walks the (n1, n2) columns holding a mode with lo <= limit; on cubes
+    only sorted triples n1 <= n2 <= n3, each weighted by its 1, 3 or 6
+    permutations.  A column's interior is every n3 up to one floor of the
+    spin-0 budget left at ``threshold``; its shell goes on from there while
+    lo <= limit, tested in the arithmetic enumeration uses.
+    """
+    lengths = box.lengths
+    cube = box.is_cube
+    budget = _norm_sq_budget(model, threshold)
+    inside, shell = 0, []
+    n1 = 1
+    while _lower_bound(model, (n1, n1, n1) if cube else (n1, 1, 1), lengths) <= limit:
+        n2 = n1 if cube else 1
+        while _lower_bound(model, (n1, n2, n2) if cube else (n1, n2, 1), lengths) <= limit:
+            first = n2 if cube else 1
+            rest = budget - (n1 * math.pi / lengths[0]) ** 2 - (n2 * math.pi / lengths[1]) ** 2
+            last = math.floor(lengths[2] * math.sqrt(rest) / math.pi) if rest > 0.0 else 0
+            if last >= first:
+                inside += (
+                    _cubic_multiplicity((n1, n2, n2))
+                    + (last - n2) * _cubic_multiplicity((n1, n2, n2 + 1))
+                    if cube else last
+                )
+            n3 = max(last + 1, first)
+            while _lower_bound(model, (n1, n2, n3), lengths) <= limit:
+                shell.append(((n1, n2, n3), _cubic_multiplicity((n1, n2, n3)) if cube else 1))
+                n3 += 1
+            n2 += 1
+        n1 += 1
+    return inside, shell
+
+
+def _count_from_shell(split, max_kinetic: float) -> int:
+    """Count from ``split(threshold)`` -> (interior weight, solved shell
+    entries), the interior being the modes with hi <= threshold.
+
+    Starts at threshold T (1 - 2 MERGE_REL_TOL) and, while ``_count_shell``
+    cannot settle the shell, deepens it fourfold.  Below zero the interior
+    is empty and the shell always settles.
+    """
+    depth = 2.0 * MERGE_REL_TOL * max_kinetic
+    while True:
+        threshold = max_kinetic - depth
+        inside, entries = split(threshold)
+        top = threshold * (1.0 + _ROUNDING_REL) if inside else None
+        counted = _count_shell(entries, top, max_kinetic)
+        if counted is not None:
+            return inside + counted
+        depth *= 4.0
+
+
+def _count_shell(entries, top: float | None, max_kinetic: float) -> int | None:
+    """Degeneracy of the solved (level, degeneracy) ``entries`` that count,
+    given that every unsolved mode below them has kinetic <= ``top`` (None:
+    there is none) and counts.
+
+    An entry counts when the merged level it joins starts at or below the
+    cutoff, and where levels start depends on the merges below.  So the
+    count is taken from a definite start: an entry more than MERGE_REL_TOL
+    above everything sorted before it, which starts a level whatever the
+    modes below do.  Everything before it is at most the cutoff and counts;
+    from it on ``_merge_equal_energies`` groups exactly as enumeration
+    does.  Returns None if no definite start comes at or before the first
+    entry above the cutoff.
+    """
+    ordered = sorted(entries, key=_energy_order)
+    below = top
+    for start, (level, _) in enumerate(ordered):
+        kinetic = level.kinetic
+        if below is None or (
+            kinetic > below
+            and not math.isclose(below, kinetic, rel_tol=MERGE_REL_TOL, abs_tol=0.0)
+        ):
+            merged = _merge_equal_energies(ordered[start:])
+            return sum(weight for _, weight in ordered[:start]) + sum(
+                lv.degeneracy for lv in merged if lv.kinetic <= max_kinetic
+            )
+        if kinetic > max_kinetic:
+            return None
+        below = max(below, kinetic)
+    return sum(weight for _, weight in ordered)
 
 
 def _lower_bound_wavenumber(model: str, n: int, length: float) -> float:
     if model == "dirac":
         return (n - 0.5) * math.pi / length
     return n * math.pi / length
+
+
+def _lower_bound(model: str, indices: tuple[int, ...], lengths) -> float:
+    """Kinetic energy at the lower edge of every axis's wavenumber range:
+    the energy itself for kg and nonrel, a bound below it for spin-1/2."""
+    return dispersion(model, tuple(
+        _lower_bound_wavenumber(model, n, length) for n, length in zip(indices, lengths)
+    ))
 
 
 def _enumerate_1d(request: SpectrumRequest, lattice_max: int | None) -> list[Level]:
@@ -261,14 +426,8 @@ def _enumerate_3d(
     on_cube = box.is_cube
     margin = 1.0 + MERGE_REL_TOL
 
-    def lower_bound(triple):
-        return dispersion(model, tuple(
-            _lower_bound_wavenumber(model, triple[i], box.lengths[i])
-            for i in range(3)
-        ))
-
     start = (1, 1, 1)
-    heap = [(lower_bound(start), start)]
+    heap = [(_lower_bound(model, start, box.lengths), start)]
     seen = {start}
     entries = []
     if request.count is None:
@@ -304,7 +463,7 @@ def _enumerate_3d(
                 continue  # not sorted
             if nxt not in seen:
                 seen.add(nxt)
-                heapq.heappush(heap, (lower_bound(nxt), nxt))
+                heapq.heappush(heap, (_lower_bound(model, nxt, box.lengths), nxt))
 
     grouped = _merge_sorted(entries)
     if request.count is None:
@@ -314,9 +473,12 @@ def _enumerate_3d(
 
 def _merge_sorted(entries) -> list[Level]:
     """Merged levels of (level, degeneracy) entries given in any order."""
-    return _merge_equal_energies(
-        sorted(entries, key=lambda item: (item[0].kinetic, item[0].qnums.indices))
-    )
+    return _merge_equal_energies(sorted(entries, key=_energy_order))
+
+
+def _energy_order(entry):
+    level, _ = entry
+    return level.kinetic, level.qnums.indices
 
 
 def _merge_equal_energies(entries) -> list[Level]:

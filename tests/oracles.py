@@ -185,3 +185,18 @@ def lattice_levels(kinetic_of, lengths, n_max: int, count: int,
         else:
             levels.append([triple, [], weight, kinetic])
     return [(t, tuple(also), w, k) for t, also, w, k in levels[:count]]
+
+
+def weyl_count(lengths, k: float) -> float:
+    """Weyl expansion of the number of Dirichlet box modes with |x| <= k.
+
+    N(k) ~ V k^3 / (6 pi^2) - S k^2 / (16 pi) + E k / (16 pi) - 1/8 for a
+    box of volume V, surface area S and total edge length E; the lattice
+    count scatters about it by much less than the surface term.
+    """
+    a, b, c = lengths
+    volume = a * b * c
+    surface = 2.0 * (a * b + b * c + c * a)
+    edges = 4.0 * (a + b + c)
+    return (volume * k**3 / (6.0 * math.pi**2) - surface * k**2 / (16.0 * math.pi)
+            + edges * k / (16.0 * math.pi) - 0.125)

@@ -1,6 +1,7 @@
 """Command-line interface: schemas, determinism, exit codes, units."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -244,6 +245,36 @@ def test_count_below_ground_level_is_zero():
     assert all(r["count"] == 0 for r in json.loads(result.output)["rows"])
 
 
+def test_count_1d_kg_beyond_the_enumeration_bound_is_the_closed_form():
+    """318628 levels exceed the 1D enumeration bound; counting needs none."""
+    result = invoke("count", "--dim", "1", "--model", "kg", "--lc", "1000",
+                    "--tmax", "1000", "--format", "json")
+    assert result.exit_code == 0
+    closed_form = math.floor(1000.0 * math.sqrt(1000.0 * 1002.0) / math.pi)
+    assert json.loads(result.output)["rows"][0]["count"] == closed_form == 318628
+
+
+def test_count_3d_kg_beyond_the_enumeration_bound():
+    """Indices up to 318 on the unit cube: counted by columns, no lattice cap."""
+    result = invoke("count", "--dim", "3", "--model", "kg", "--lc", "1",
+                    "--tmax", "1000", "--format", "json")
+    assert result.exit_code == 0
+    assert json.loads(result.output)["rows"][0]["count"] == 16817874
+
+
+def test_count_rejects_an_infinite_cutoff():
+    result = invoke("count", "--dim", "3", "--model", "kg", "--tmax", "inf")
+    assert result.exit_code == 2
+    assert "finite" in result.output
+
+
+def test_count_capacity_exit_code_only_for_spin_half_shell_solves():
+    result = invoke("count", "--dim", "3", "--model", "dirac", "--lc", "1",
+                    "--tmax", "300")
+    assert result.exit_code == 4
+    assert "lattice bound" in result.output
+
+
 def test_capacity_exit_code():
     result = invoke("spectrum", "--dim", "3", "--model", "kg", "--lc", "1",
                     "--tmax", "1000")
@@ -303,6 +334,17 @@ def test_preset_flag_adds_column():
 
 
 # -- the column emitter -----------------------------------------------------
+
+def test_fmt_joins_each_item_by_its_own_shape():
+    """A list holding any list is '|'-joined, each list item ';'-joined;
+    whether the first item is a list does not decide it."""
+    assert _fmt([[], 0.0]) == "|0"
+    assert _fmt([0.5, [1, 2]]) == "0.5|1;2"
+    assert _fmt([[1, 2], [3]]) == "1;2|3"
+    assert _fmt([[1, 2]]) == "1;2"
+    assert _fmt([1.5, 2]) == "1.5;2"
+    assert _fmt([]) == ""
+
 
 def _old_csv(rows, summary):
     """The per-cell CSV emitter the column emitter replaced."""

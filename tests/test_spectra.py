@@ -4,10 +4,12 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relbox import (
     BoxSpec,
     CapacityError,
+    Level,
     QuantumNumbers,
     SpectrumRequest,
     count_states,
@@ -17,9 +19,16 @@ from relbox import (
     level_3d,
 )
 import relbox.spectra
-from relbox.spectra import _cubic_multiplicity
+from relbox.spectra import (
+    MERGE_REL_TOL,
+    MODELS,
+    _count_from_shell,
+    _count_shell,
+    _cubic_multiplicity,
+    _merge_sorted,
+)
 
-from oracles import lattice_count, lattice_levels
+from oracles import lattice_count, lattice_levels, weyl_count
 
 # Kinetic energy of the first spin-1/2 level in the unit 1D box, from the
 # bisection root y_1 = 2.0287578381104342 through sqrt(x^2 + 1) - 1.
@@ -167,9 +176,11 @@ def solved(monkeypatch):
 
 
 def test_dirac_count_solves_only_the_lower_bound_ellipsoid(solved):
-    """Only sorted triples whose branch lower bound sum((n_i - 1/2) pi)^2
-    reaches kinetic 100 on the unit cube are solved, each once."""
-    assert count_states("dirac", BoxSpec.cube(1.0), 100.0) == 17061
+    """Enumerating to kinetic 100 on the unit cube solves the sorted triples
+    whose branch lower bound sum((n_i - 1/2) pi)^2 reaches the cutoff, each
+    once."""
+    request = SpectrumRequest("dirac", BoxSpec.cube(1.0), max_kinetic=100.0)
+    assert sum(lv.degeneracy for lv in enumerate_levels(request)) == 17061
     norm_sq_max = 100.0 * 102.0  # kinetic T <=> |x|^2 <= T (T + 2)
     inside = {
         t
@@ -179,6 +190,137 @@ def test_dirac_count_solves_only_the_lower_bound_ellipsoid(solved):
     assert len(inside) == 3199
     assert len(solved) == len(set(solved)) == 3199
     assert set(solved) == inside
+
+
+def _relativistic_kinetic(norm_sq):
+    return norm_sq / (math.sqrt(norm_sq + 1.0) + 1.0)
+
+
+def test_dirac_count_solves_only_the_cutoff_shell(solved):
+    """Counting to kinetic 100 on the unit cube solves only the sorted
+    triples that the two bracket energies leave undecided: spin-0 energy
+    above 100 (1 - 2e-9) and branch-edge energy at most 100 (1 + 1e-9)."""
+    assert count_states("dirac", BoxSpec.cube(1.0), 100.0) == 17061
+    shell = {
+        t
+        for t in itertools.combinations_with_replacement(range(1, 40), 3)
+        if _relativistic_kinetic(sum((n * math.pi) ** 2 for n in t)) > 100.0 * (1 - 2e-9)
+        and _relativistic_kinetic(sum(((n - 0.5) * math.pi) ** 2 for n in t))
+        <= 100.0 * (1 + 1e-9)
+    }
+    assert len(shell) == 222
+    assert len(solved) == len(set(solved)) == 222
+    assert set(solved) == shell
+
+
+@st.composite
+def count_requests(draw):
+    """(model, box, cutoff, spin counting) with L_i in [0.3, 5] and T <= 30.
+
+    In 3D the cutoff stays where no axis index passes 10, so the exhaustive
+    enumeration it is checked against stays quick; a third of the cutoffs
+    sit on a level's energy or within a merge tolerance of it.
+    """
+    model = draw(st.sampled_from(MODELS))
+    shape = draw(st.sampled_from(["1d", "cube", "box"]))
+    length = st.floats(0.3, 5.0)
+    if shape == "1d":
+        box = BoxSpec((draw(length),))
+        t_max = 30.0
+    else:
+        lengths = (draw(length),) * 3 if shape == "cube" else tuple(draw(length) for _ in range(3))
+        box = BoxSpec(lengths)
+        x_max = 10.0 * math.pi / max(lengths)
+        t_max = min(30.0, 0.5 * x_max**2 if model == "nonrel" else _relativistic_kinetic(x_max**2))
+    if draw(st.integers(0, 2)) == 0:
+        indices = tuple(draw(st.integers(1, 4)) for _ in box.lengths)
+        level = (level_1d(model, indices[0], box.lengths[0]) if shape == "1d"
+                 else level_3d(model, QuantumNumbers(indices), box))
+        factor = draw(st.sampled_from([1.0, 1 - 2e-9, 1 - 1e-9, 1 - 5e-10, 1 + 5e-10, 1 + 1e-9]))
+        tmax = min(t_max, level.kinetic * factor)
+    else:
+        tmax = draw(st.floats(1e-3, t_max))
+    return model, box, tmax, draw(st.booleans())
+
+
+@settings(deadline=None, max_examples=200)
+@given(count_requests())
+def test_count_equals_enumerated_degeneracy_sum(case):
+    model, box, tmax, spin = case
+    request = SpectrumRequest(model, box, max_kinetic=tmax, spin_counting=spin)
+    assert count_states(model, box, tmax, spin) == sum(
+        lv.degeneracy for lv in enumerate_levels(request)
+    )
+
+
+@pytest.mark.parametrize("model", ["kg", "nonrel"])
+@pytest.mark.parametrize("low, high", [((1, 1, 5), (3, 3, 3)), ((2, 2, 11), (4, 7, 8))])
+def test_count_at_a_cutoff_inside_an_accidental_degeneracy(model, low, high):
+    """With the cutoff on the lower float of two equal-|n|^2 triples, the
+    upper one (a few ulps above it) joins its level and counts too."""
+    box = BoxSpec.cube(1.0)
+    cutoff = level_3d(model, QuantumNumbers(low), box).kinetic
+    assert level_3d(model, QuantumNumbers(high), box).kinetic > cutoff
+    request = SpectrumRequest(model, box, max_kinetic=cutoff)
+    total = count_states(model, box, cutoff)
+    assert total == sum(lv.degeneracy for lv in enumerate_levels(request))
+    assert total == lattice_count(box.lengths, cutoff * (1 + 1e-12), 12,
+                                  quadratic=model == "nonrel")
+
+
+@pytest.mark.parametrize("chain", [40, 41])
+def test_merge_chain_below_the_shell_widens_it(chain):
+    """Synthetic levels 0.6 MERGE_REL_TOL apart from T (1 - 0.6 tol (chain - 1))
+    up past the cutoff T merge in pairs counted from the bottom of the
+    chain, so the first shell cannot tell which of them start a level.  The
+    count must widen the shell to the chain's bottom and agree with
+    ``_merge_sorted`` on every mode; which way the level above the cutoff
+    goes depends on the parity of the chain."""
+    cutoff = 50.0
+    kinetics = [cutoff * (1.0 - 0.6 * MERGE_REL_TOL * k) for k in range(-3, chain)]
+    kinetics += [1.0, 7.5, cutoff * (1.0 - 1e-6)]
+    entries = [
+        (Level("kg", QuantumNumbers((i + 1, 1, 1)), (1.0, 1.0, 1.0), e, 1), 1 + i % 3)
+        for i, e in enumerate(kinetics)
+    ]
+    limit = cutoff * (1.0 + MERGE_REL_TOL)
+    thresholds = []
+
+    def split(threshold):
+        thresholds.append(threshold)
+        inside = sum(w for lv, w in entries if lv.kinetic <= threshold)
+        return inside, [(lv, w) for lv, w in entries if threshold < lv.kinetic <= limit]
+
+    reachable = [(lv, w) for lv, w in entries if lv.kinetic <= limit]
+    levels = _merge_sorted(reachable)
+    expected = sum(lv.degeneracy for lv in levels if lv.kinetic <= cutoff)
+    assert _count_from_shell(split, cutoff) == expected
+    assert len(thresholds) > 1
+    first_inside, first_shell = split(thresholds[0])
+    assert first_inside > 0
+    assert _count_shell(first_shell, thresholds[0], cutoff) is None
+    # the level just above the cutoff joins the one at it for an odd chain
+    above = next(lv for lv in levels if lv.kinetic > cutoff * (1.0 - 0.3 * MERGE_REL_TOL))
+    assert (above.kinetic <= cutoff) == (chain % 2 == 1)
+
+
+@pytest.mark.parametrize(
+    "lengths, tmax, count",
+    [
+        ((1.0, 1.0, 1.0), 1000.0, 16817874),
+        ((1.0, 1.3, 1.7), 300.0, 999030),
+        ((0.7, 1.1, 2.9), 400.0, 2393345),
+        ((2.0, 2.0, 3.0), 150.0, 683203),
+    ],
+)
+def test_large_kg_counts_follow_the_weyl_expansion(lengths, tmax, count):
+    """Counts far beyond the enumeration bound, within 1% of the surface
+    term of the Weyl expansion for the Dirichlet box."""
+    assert count_states("kg", BoxSpec(lengths), tmax) == count
+    k = math.sqrt(tmax * (tmax + 2.0))
+    a, b, c = lengths
+    surface_term = 2.0 * (a * b + b * c + c * a) * k * k / (16.0 * math.pi)
+    assert abs(count - weyl_count(lengths, k)) <= 0.01 * surface_term
 
 
 def test_kg_count_request_solves_only_up_to_its_last_level(solved):
@@ -321,6 +463,12 @@ def test_capacity_error_is_explicit():
     req1d = SpectrumRequest(model="kg", box=BoxSpec((1.0,)), max_kinetic=1000.0)
     with pytest.raises(CapacityError):
         enumerate_levels(req1d, lattice_max=16)
+
+
+def test_count_needs_a_finite_cutoff():
+    for box in (BoxSpec((1.0,)), BoxSpec.cube(1.0)):
+        with pytest.raises(ValueError):
+            count_states("kg", box, math.inf)
 
 
 def test_request_validation():

@@ -10,7 +10,7 @@ usual comparison figure, and shows both models collapsing onto the
 non-relativistic parabola as the box grows.
 """
 
-from relbox import figure_table, level_1d
+from relbox import BoxSpec, level_1d, spectrum_table
 
 SIZES = [1.0, 10.0, 100.0, 300.0]
 
@@ -31,6 +31,7 @@ for n in range(1, 5):
           f"relative gap {abs(dirac - nonrel) / nonrel:.2e}")
 
 print()
-rows = figure_table(["kg", "dirac", "nonrel"], SIZES, 4, dim=1)
-print(f"figure_table emits {len(rows)} rows "
+boxes = [(size, BoxSpec.cube(size, dim=1)) for size in SIZES]
+table = spectrum_table(["kg", "dirac", "nonrel"], boxes, count=4)
+print(f"spectrum_table emits {len(table['model'])} rows "
       "(4 levels x 4 sizes x 2 models + 4 non-relativistic reference rows)")

@@ -21,8 +21,6 @@ from .fields import (
     FieldGrid,
     FieldSample,
     GridSpec,
-    box_state_1d,
-    box_state_3d,
     conjugated_state,
     normalization_check,
     stationarity_residual,
@@ -43,9 +41,9 @@ from .spectra import (
     count_states,
     dispersion,
     enumerate_levels,
-    figure_table,
     level_1d,
     level_3d,
+    spectrum_table,
 )
 
 __version__ = "0.1.0"
@@ -74,13 +72,11 @@ __all__ = [
     "level_3d",
     "enumerate_levels",
     "count_states",
-    "figure_table",
+    "spectrum_table",
     "BoxState",
     "FieldGrid",
     "FieldSample",
     "GridSpec",
-    "box_state_1d",
-    "box_state_3d",
     "conjugated_state",
     "normalization_check",
     "stationarity_residual",

@@ -4,7 +4,8 @@ Three subcommands (``spectrum``, ``count``, ``field``) emit deterministic
 CSV or JSON.  Floats are serialized with 17 significant digits so repeated
 runs are byte-identical and values survive a parse round trip.  Exit codes:
 0 success, 2 bad usage, 3 solver failure, 4 enumeration capacity exceeded
-(for ``count``: a 3D spin-1/2 solve needed beyond the lattice bound).
+(for ``count``: a 3D spin-1/2 solve needed beyond the lattice bound, or a 1D
+count beyond float64 resolution).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .core import BoxSpec, QuantumNumbers
 from .errors import BracketError, CapacityError, ConvergenceError
 from .fields import BoxState, GridSpec, normalization_check, stationarity_residual
 from .rootfind import DEFAULT_CONFIG, SolverConfig
-from .spectra import MODELS, SpectrumRequest, _level_row, count_states, enumerate_levels
+from .spectra import MODELS, count_states, spectrum_table
 
 __all__ = ["cli", "main", "annotate_units"]
 
@@ -36,28 +37,24 @@ _PRESET_COLUMNS = {
 }
 
 
-def annotate_units(table: list[dict], preset: str) -> list[dict]:
-    """Append a physical box-length column for the chosen particle preset.
+def annotate_units(table: dict, preset: str) -> dict:
+    """Append a physical box-length column to a column table for the chosen
+    particle preset.
 
     ``electron`` adds ``box_angstrom`` (= lc * 3.86e-3), ``pion`` adds
-    ``box_fm`` (= lc * 1.41); ``none`` returns the table unchanged.  The
-    kinetic column stays in units of the particle's rest energy.
+    ``box_fm`` (= lc * 1.41), per axis where an ``lc`` cell lists the box
+    lengths; ``none`` returns the table unchanged.  The kinetic column stays
+    in units of the particle's rest energy.
     """
     if preset in (None, "none"):
         return table
     if preset not in _PRESET_COLUMNS:
         raise ValueError(f"unknown preset {preset!r}")
     column, lam = _PRESET_COLUMNS[preset]
-    out = []
-    for row in table:
-        new = dict(row)
-        lc = row["lc"]
-        if isinstance(lc, list):
-            new[column] = [v * lam for v in lc]
-        else:
-            new[column] = lc * lam
-        out.append(new)
-    return out
+    physical = [
+        [v * lam for v in lc] if isinstance(lc, list) else lc * lam for lc in table["lc"]
+    ]
+    return {**table, column: physical}
 
 
 def _fmt(value) -> str:
@@ -76,11 +73,6 @@ def _fmt(value) -> str:
 def _json(value, level: int = 0) -> str:
     """``value`` as ``json.dumps(..., indent=2)`` writes it ``level`` levels deep."""
     return json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)
-
-
-def _columns(rows: list[dict]) -> dict:
-    """Row dicts (all with the keys of the first) as a column table."""
-    return {key: [row[key] for row in rows] for key in rows[0]} if rows else {}
 
 
 def _column(values, fmt: str) -> tuple[str, list | None]:
@@ -282,27 +274,11 @@ def spectrum(ctx, dim, model, lc, lengths, levels, tmax, spin_counting, fmt, out
         raise click.UsageError("Invalid value for '--tmax': must be > 0.")
     cfg = _solver_config(tol)
     boxes = _boxes(dim, lc, lengths)
-    largest = boxes[-1][0]
     models = _expand_models(model)
-
-    def build():
-        rows = []
-        for m in [m for m in MODELS if m in models]:
-            for cell, box in boxes:
-                if m == "nonrel" and cell != largest:
-                    continue
-                request = SpectrumRequest(
-                    model=m,
-                    box=box,
-                    count=levels,
-                    max_kinetic=tmax,
-                    spin_counting=spin_counting,
-                )
-                for level in enumerate_levels(request, cfg):
-                    rows.append(_level_row(level, dim, cell))
-        return rows
-
-    rows = annotate_units(_run_guarded(build), preset)
+    table = _run_guarded(
+        lambda: spectrum_table(models, boxes, levels, tmax, spin_counting, cfg)
+    )
+    table = annotate_units(table, preset)
     config = {
         "command": "spectrum",
         "dim": dim,
@@ -315,7 +291,7 @@ def spectrum(ctx, dim, model, lc, lengths, levels, tmax, spin_counting, fmt, out
         "preset": preset,
         "kinetic_units": "mc^2",
     }
-    _emit(_columns(rows), config, {"n_rows": len(rows)}, fmt, out)
+    _emit(table, config, {"n_rows": len(table["model"])}, fmt, out)
 
 
 @cli.command()
@@ -345,19 +321,17 @@ def count(ctx, dim, model, lc, lengths, tmax, spin_counting, fmt, out, tol):
         raise click.UsageError("Invalid value for '--tmax': must be > 0 and finite.")
     cfg = _solver_config(tol)
     boxes = _boxes(dim, lc, lengths)
-    models = _expand_models(model)
-
-    def build():
-        rows = []
-        for m in [m for m in MODELS if m in models]:
-            for cell, box in boxes:
-                total = count_states(m, box, tmax, spin_counting, cfg)
-                rows.append(
-                    {"model": m, "dim": dim, "lc": cell, "tmax": tmax, "count": total}
-                )
-        return rows
-
-    rows = _run_guarded(build)
+    runs = [(m, cell, box) for m in _expand_models(model) for cell, box in boxes]
+    counts = _run_guarded(
+        lambda: [count_states(m, box, tmax, spin_counting, cfg) for m, _, box in runs]
+    )
+    table = {
+        "model": [m for m, _, _ in runs],
+        "dim": [dim] * len(runs),
+        "lc": [cell for _, cell, _ in runs],
+        "tmax": [tmax] * len(runs),
+        "count": counts,
+    }
     config = {
         "command": "count",
         "dim": dim,
@@ -367,7 +341,7 @@ def count(ctx, dim, model, lc, lengths, tmax, spin_counting, fmt, out, tol):
         "tmax": tmax,
         "spin_counting": spin_counting,
     }
-    _emit(_columns(rows), config, {"n_rows": len(rows)}, fmt, out)
+    _emit(table, config, {"n_rows": len(runs)}, fmt, out)
 
 
 @cli.command()

@@ -20,6 +20,7 @@ __all__ = [
     "scaled_kinetic_energy",
     "nonrel_kinetic_energy",
     "charge_conjugate",
+    "dispersion",
 ]
 
 
@@ -174,6 +175,18 @@ def nonrel_kinetic_energy(wavenumber: float) -> float:
     if not math.isfinite(wavenumber) or wavenumber < 0.0:
         raise ValueError(f"wavenumber must be finite and >= 0, got {wavenumber}")
     return 0.5 * wavenumber * wavenumber
+
+
+def dispersion(model: str, wavenumbers: tuple[float, ...]) -> float:
+    """Scaled kinetic energy of a mode with the given wavenumbers: the
+    cancellation-free sqrt(|x|^2 + 1) - 1 for ``kg`` and ``dirac``, |x|^2 / 2
+    for ``nonrel``."""
+    norm_sq = math.fsum(x * x for x in wavenumbers)
+    if model in ("kg", "dirac"):
+        return norm_sq / (math.sqrt(norm_sq + 1.0) + 1.0)
+    if model == "nonrel":
+        return 0.5 * norm_sq
+    raise ValueError(f"unknown model {model!r}")
 
 
 def charge_conjugate(spinor: FVSpinor) -> FVSpinor:

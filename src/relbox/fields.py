@@ -23,8 +23,6 @@ __all__ = [
     "FieldSample",
     "FieldGrid",
     "BoxState",
-    "box_state_1d",
-    "box_state_3d",
     "conjugated_state",
     "normalization_check",
     "stationarity_residual",
@@ -196,21 +194,6 @@ def _unsigned(arr: np.ndarray) -> np.ndarray:
 
 def _norm(xs) -> float:
     return math.sqrt(math.fsum(x * x for x in xs))
-
-
-def box_state_1d(
-    n: int, box_length: float, position: float, time: float = 0.0
-) -> FieldSample:
-    """Sample the nth 1D box eigenstate at one point."""
-    state = BoxState(box=BoxSpec((box_length,)), qnums=QuantumNumbers((n,)))
-    return state.sample((position,), time)
-
-
-def box_state_3d(
-    qnums: QuantumNumbers, box: BoxSpec, position, time: float = 0.0
-) -> FieldSample:
-    """Sample a 3D box eigenstate at one point."""
-    return BoxState(box=box, qnums=qnums).sample(position, time)
 
 
 def conjugated_state(state: BoxState) -> BoxState:

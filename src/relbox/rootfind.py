@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import BoxSpec, QuantumNumbers
+from .core import BoxSpec, QuantumNumbers, dispersion
 from .errors import BracketError, ConvergenceError
 
 __all__ = [
@@ -36,20 +36,14 @@ _EPS = math.ulp(1.0)
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and caps for the scalar and fixed-point solvers."""
+    """Relative tolerance of the 3D fixed point (and of direct
+    ``solve_bracketed`` calls), checked once here."""
 
     rel_tol: float = 1e-12
-    max_scalar_iters: int = 200
-    max_fixed_point_iters: int = 500
-    damping: float = 1.0
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0):
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.max_scalar_iters < 1 or self.max_fixed_point_iters < 1:
-            raise ValueError("iteration caps must be >= 1")
-        if not (0.0 < self.damping <= 1.0):
-            raise ValueError(f"damping must be in (0, 1], got {self.damping}")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -58,6 +52,10 @@ DEFAULT_CONFIG = SolverConfig()
 # equations are stiff near the poles, so anything looser leaks into the
 # transcendental residual.
 _SCALAR_CFG = SolverConfig(rel_tol=2e-15)
+
+# Iteration caps: Brent steps per scalar solve, sweeps per 3D fixed point.
+_SCALAR_ITER_CAP = 200
+_SWEEP_CAP = 500
 
 
 def solve_bracketed(
@@ -96,7 +94,7 @@ def solve_bracketed(
         )
     xtol = 0.5 * cfg.rel_tol
     rtol = max(0.5 * cfg.rel_tol, 4.0 * _EPS)
-    root = _brent(f, lo, hi, flo, fhi, xtol, rtol, cfg.max_scalar_iters)
+    root = _brent(f, lo, hi, flo, fhi, xtol, rtol, _SCALAR_ITER_CAP)
     return _polish(f, float(root), lo, hi)
 
 
@@ -245,9 +243,17 @@ def dirac_wavenumbers_3d(
     with the shared kinetic energy T = sqrt(|x|^2 + 1) - 1.  Starting from
     the spin-0 wavenumbers, the solver alternates between recomputing T and
     re-solving each axis inside its branch, in the pole-free form
-    sin(y) (x^2 - e^2) - 2 e x cos(y) with e = T + 2.  Iteration stops when
-    the largest relative update drops below ``cfg.rel_tol``; if updates
-    start alternating in sign, the damping factor falls back to 0.5.
+    sin(y) (x^2 - e^2) - 2 e x cos(y) with e = T + 2, until the largest
+    relative update drops below ``cfg.rel_tol``.
+
+    The sweeps descend monotonically.  On the branch tan(xL) rises with x
+    while the right-hand side falls with x and rises with e (its e-derivative
+    is 2x (x^2 + e^2) / (x^2 - e^2)^2 > 0), so each axis root rises with e,
+    and one sweep is an increasing map of T.  The first sweep starts from
+    the spin-0 wavenumbers, the upper ends of the branches, so it lowers T;
+    every later sweep then lowers each wavenumber again, down towards the
+    fixed point, and no update changes sign (short of rounding in the last
+    bits once ``rel_tol`` is near the float64 limit).
 
     Returns
     -------
@@ -258,23 +264,15 @@ def dirac_wavenumbers_3d(
     n = qnums.indices
     lengths = box.lengths
     xs = [n[i] * math.pi / lengths[i] for i in range(3)]
-    damping = cfg.damping
-    prev_delta = None
     history: list[float] = []
-    for _ in range(cfg.max_fixed_point_iters):
-        e_sum = _kinetic(xs) + 2.0
+    for _ in range(_SWEEP_CAP):
+        e_sum = dispersion("dirac", xs) + 2.0
         roots = [_solve_axis(n[i], lengths[i], e_sum) for i in range(3)]
-        delta = [roots[i] - xs[i] for i in range(3)]
-        if prev_delta is not None and any(
-            d * p < 0.0 for d, p in zip(delta, prev_delta)
-        ):
-            damping = min(damping, 0.5)
-        prev_delta = delta
-        xs = [xs[i] + damping * delta[i] for i in range(3)]
-        rel_change = max(abs(delta[i]) / max(abs(xs[i]), 1e-300) for i in range(3))
+        rel_change = max(abs(roots[i] - xs[i]) / max(roots[i], 1e-300) for i in range(3))
+        xs = roots
         history.append(rel_change)
         if rel_change < cfg.rel_tol:
-            return (xs[0], xs[1], xs[2], _kinetic(xs))
+            return (xs[0], xs[1], xs[2], dispersion("dirac", xs))
     raise ConvergenceError(
         f"3D solve for indices {n} in box {lengths} still changing by "
         f"{history[-1]:.3e} after {len(history)} sweeps",
@@ -300,12 +298,6 @@ def _solve_axis(n_i: int, length: float, e_sum: float) -> float:
         return math.tan(y) - 2.0 * e_sum * x / (x * x - e_sum * e_sum)
 
     return _solve_branch(g, f, n_i) / length
-
-
-def _kinetic(xs) -> float:
-    """sqrt(|x|^2 + 1) - 1, evaluated in its cancellation-free form."""
-    norm_sq = math.fsum(x * x for x in xs)
-    return norm_sq / (math.sqrt(norm_sq + 1.0) + 1.0)
 
 
 def _check_3d_args(qnums: QuantumNumbers, box: BoxSpec) -> None:

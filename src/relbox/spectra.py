@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .core import BoxSpec, QuantumNumbers
+from .core import BoxSpec, QuantumNumbers, dispersion
 from .errors import CapacityError
 from .rootfind import (
     DEFAULT_CONFIG,
@@ -40,7 +40,7 @@ __all__ = [
     "level_3d",
     "enumerate_levels",
     "count_states",
-    "figure_table",
+    "spectrum_table",
     "DEFAULT_LATTICE_MAX_1D",
     "DEFAULT_LATTICE_MAX_3D",
 ]
@@ -102,16 +102,6 @@ class SpectrumRequest:
             raise ValueError(f"count must be >= 1, got {self.count}")
         if self.max_kinetic is not None and not (self.max_kinetic > 0.0):
             raise ValueError(f"max_kinetic must be > 0, got {self.max_kinetic}")
-
-
-def dispersion(model: str, wavenumbers: tuple[float, ...]) -> float:
-    """Scaled kinetic energy of a mode with the given wavenumbers."""
-    norm_sq = math.fsum(x * x for x in wavenumbers)
-    if model in ("kg", "dirac"):
-        return norm_sq / (math.sqrt(norm_sq + 1.0) + 1.0)
-    if model == "nonrel":
-        return 0.5 * norm_sq
-    raise ValueError(f"unknown model {model!r}")
 
 
 def _norm_sq_budget(model: str, kinetic: float) -> float:
@@ -223,18 +213,40 @@ def count_states(
 _ROUNDING_REL = 1e-12
 
 
+# Largest 1D index a count resolves.  Up to 2**53 every index is a distinct
+# double, so n pi / L, and the level built from it, tells neighbours apart;
+# beyond it consecutive indices round to the same wavenumber and the count
+# is no longer defined by float64 levels.
+_MAX_1D_INDEX = 2**53
+
+
 def _count_1d(model: str, length: float, max_kinetic: float) -> int:
-    """1D levels rise strictly with n and never merge: every n up to
-    L sqrt(|x|^2 max) / pi at the interior threshold counts, and n steps on
-    from there through the shell until a level exceeds the cutoff."""
+    """1D levels rise strictly with n and never merge, so the count is the
+    largest n whose level is at most the cutoff.  Every n up to
+    L sqrt(|x|^2 max) / pi at the interior threshold counts; no n past the
+    branch-edge bound at T (1 + MERGE_REL_TOL) can; the last n that counts
+    is bisected in between, tested in the arithmetic enumeration uses."""
     budget = _norm_sq_budget(model, max_kinetic * (1.0 - 2.0 * MERGE_REL_TOL))
-    n = math.floor(length * math.sqrt(budget) / math.pi)
     limit = max_kinetic * (1.0 + MERGE_REL_TOL)
-    while _lower_bound(model, (n + 1,), (length,)) <= limit:
-        if level_1d(model, n + 1, length).kinetic > max_kinetic:
-            break
-        n += 1
-    return n
+    # the largest n whose branch-edge (lower-bound) wavenumber fits the limit
+    edge = length * math.sqrt(_norm_sq_budget(model, limit)) / math.pi
+    edge += 0.5 if model == "dirac" else 0.0
+    if not edge < _MAX_1D_INDEX:
+        raise CapacityError(
+            "1D count needs indices beyond float64 resolution", lattice_max=_MAX_1D_INDEX
+        )
+    lo = math.floor(length * math.sqrt(budget) / math.pi)
+    hi = math.floor(edge) + 2  # one more than a rounding slip of edge can reach
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (
+            _lower_bound(model, (mid,), (length,)) <= limit
+            and level_1d(model, mid, length).kinetic <= max_kinetic
+        ):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def _count_3d(
@@ -382,15 +394,7 @@ def _enumerate_1d(request: SpectrumRequest, lattice_max: int | None) -> list[Lev
         level = level_1d(request.model, n, box_length)
         if request.max_kinetic is not None and level.kinetic > request.max_kinetic:
             return levels
-        levels.append(
-            Level(
-                model=level.model,
-                qnums=level.qnums,
-                wavenumbers=level.wavenumbers,
-                kinetic=level.kinetic,
-                degeneracy=spin,
-            )
-        )
+        levels.append(replace(level, degeneracy=spin))
         if request.count is not None and len(levels) == request.count:
             return levels
         n += 1
@@ -489,76 +493,43 @@ def _merge_equal_energies(entries) -> list[Level]:
             merged[-1].kinetic, base.kinetic, rel_tol=MERGE_REL_TOL, abs_tol=0.0
         ):
             prev = merged[-1]
-            merged[-1] = Level(
-                model=prev.model,
-                qnums=prev.qnums,
-                wavenumbers=prev.wavenumbers,
-                kinetic=prev.kinetic,
-                degeneracy=prev.degeneracy + degeneracy,
-                also=prev.also + (base.qnums,),
+            merged[-1] = replace(
+                prev, degeneracy=prev.degeneracy + degeneracy, also=prev.also + (base.qnums,)
             )
         else:
-            merged.append(
-                Level(
-                    model=base.model,
-                    qnums=base.qnums,
-                    wavenumbers=base.wavenumbers,
-                    kinetic=base.kinetic,
-                    degeneracy=degeneracy,
-                    also=(),
-                )
-            )
+            merged.append(replace(base, degeneracy=degeneracy, also=()))
     return merged
 
 
-def figure_table(
-    models: list[str],
-    lc_values: list[float],
-    count: int,
-    dim: int,
+def spectrum_table(
+    models,
+    boxes,
+    count: int | None = None,
+    max_kinetic: float | None = None,
     spin_counting: bool = False,
     cfg: SolverConfig = DEFAULT_CONFIG,
-) -> list[dict]:
-    """Rows for a spectrum-comparison figure.
+) -> dict:
+    """Levels of each model in each box, as a table of columns: the data
+    behind the spectrum-comparison figures.
 
-    One row per (model, box size, level): the first ``count`` levels of each
-    requested model on cubic boxes of the given sizes.  The non-relativistic
-    model is tabulated only at the largest box, where it is meaningful as a
-    limit.  Rows are ordered by model (kg, dirac, nonrel), then box size
-    ascending, then kinetic energy ascending.
+    ``boxes`` holds (lc cell, BoxSpec) pairs; the cell is the ``lc`` column
+    value of the box's rows.  Each (model, box) contributes the levels of one
+    ``SpectrumRequest`` (the first ``count``, or all up to ``max_kinetic``).
+    Rows come ordered by model (kg, dirac, nonrel), then box in the given
+    order, then kinetic energy; the non-relativistic model is tabulated only
+    at the last box, where it is meaningful as a limit.
     """
-    if not models or not lc_values:
-        raise ValueError("need at least one model and one box size")
-    for m in models:
-        if m not in MODELS:
-            raise ValueError(f"unknown model {m!r}")
-    if dim not in (1, 3):
-        raise ValueError(f"dim must be 1 or 3, got {dim}")
-    ordered_models = [m for m in MODELS if m in models]
-    lcs = sorted(set(float(v) for v in lc_values))
-    largest = lcs[-1]
-    rows: list[dict] = []
-    for model in ordered_models:
-        for lc in lcs:
-            if model == "nonrel" and lc != largest:
-                continue
-            box = BoxSpec.cube(lc, dim=dim)
-            request = SpectrumRequest(
-                model=model, box=box, count=count, spin_counting=spin_counting
-            )
+    if not boxes or not set(models) <= set(MODELS):
+        raise ValueError(f"need at least one box and models from {MODELS}, got {models!r}")
+    names = ("model", "dim", "lc", "qnums", "wavenumbers", "kinetic", "degeneracy", "also")
+    table = {name: [] for name in names}
+    for model in (m for m in MODELS if m in models):
+        for cell, box in boxes[-1:] if model == "nonrel" else boxes:
+            request = SpectrumRequest(model, box, count, max_kinetic, spin_counting)
             for level in enumerate_levels(request, cfg):
-                rows.append(_level_row(level, dim, lc))
-    return rows
-
-
-def _level_row(level: Level, dim: int, lc) -> dict:
-    return {
-        "model": level.model,
-        "dim": dim,
-        "lc": lc,
-        "qnums": list(level.qnums.indices),
-        "wavenumbers": [float(x) for x in level.wavenumbers],
-        "kinetic": float(level.kinetic),
-        "degeneracy": level.degeneracy,
-        "also": [list(q.indices) for q in level.also],
-    }
+                row = (model, box.dimension, cell, list(level.qnums.indices),
+                       list(level.wavenumbers), level.kinetic, level.degeneracy,
+                       [list(q.indices) for q in level.also])
+                for column, value in zip(table.values(), row):
+                    column.append(value)
+    return table

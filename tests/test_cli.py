@@ -12,9 +12,10 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from relbox.cli import _columns, _fmt, _render, annotate_units, cli
+from relbox.cli import _fmt, _render, annotate_units, cli
+from relbox.core import BoxSpec
 from relbox.errors import ConvergenceError
-from relbox.spectra import figure_table
+from relbox.spectra import spectrum_table
 
 from oracles import lattice_count
 
@@ -27,6 +28,11 @@ REFERENCE_DIR = REPO / "perfbench" / "reference"
 
 def invoke(*args):
     return runner.invoke(cli, list(args))
+
+
+def _columns(rows):
+    """Row dicts (all with the keys of the first) as a column table."""
+    return {key: [row[key] for row in rows] for key in rows[0]} if rows else {}
 
 
 def parse_csv(text):
@@ -121,8 +127,9 @@ def test_json_round_trip_matches_library_table():
     result = invoke("spectrum", "--dim", "1", "--model", "all",
                     "--lc", "1,10,100,300", "--levels", "4", "--format", "json")
     payload = json.loads(result.output)
-    expected = figure_table(["kg", "dirac", "nonrel"], [1.0, 10.0, 100.0, 300.0], 4, 1)
-    assert payload["rows"] == expected
+    boxes = [(lc, BoxSpec.cube(lc, dim=1)) for lc in (1.0, 10.0, 100.0, 300.0)]
+    expected = spectrum_table(["kg", "dirac", "nonrel"], boxes, count=4)
+    assert _columns(payload["rows"]) == expected
     assert payload["config"]["command"] == "spectrum"
     assert payload["summary"]["n_rows"] == 36
 
@@ -275,6 +282,12 @@ def test_count_capacity_exit_code_only_for_spin_half_shell_solves():
     assert "lattice bound" in result.output
 
 
+def test_count_1d_beyond_float64_resolution_exit_code():
+    result = invoke("count", "--dim", "1", "--lc", "1e300", "--tmax", "1e10")
+    assert result.exit_code == 4
+    assert "float64" in result.output
+
+
 def test_capacity_exit_code():
     result = invoke("spectrum", "--dim", "3", "--model", "kg", "--lc", "1",
                     "--tmax", "1000")
@@ -286,30 +299,30 @@ def test_solver_failure_exit_code(monkeypatch):
     def boom(*args, **kwargs):
         raise ConvergenceError("no convergence for indices (1, 1, 1)", iterations=500)
 
-    monkeypatch.setattr("relbox.cli.enumerate_levels", boom)
+    monkeypatch.setattr("relbox.spectra.enumerate_levels", boom)
     result = invoke("spectrum", "--dim", "3", "--model", "dirac", "--lc", "1")
     assert result.exit_code == 3
     assert "(1, 1, 1)" in result.output
 
 
 def test_annotate_units_electron_matches_quoted_size():
-    rows = [{"lc": 300.0, "kinetic": 1.0}]
-    out = annotate_units(rows, "electron")
+    table = {"lc": [300.0], "kinetic": [1.0]}
+    out = annotate_units(table, "electron")
     # quoted as "about 1.15 angstrom" at two digits
-    assert abs(out[0]["box_angstrom"] - 1.15) <= 0.01
-    assert "box_angstrom" not in rows[0]
+    assert abs(out["box_angstrom"][0] - 1.15) <= 0.01
+    assert "box_angstrom" not in table
 
 
 def test_annotate_units_pion():
-    out = annotate_units([{"lc": 1.0}], "pion")
-    assert out[0]["box_fm"] == pytest.approx(1.41, rel=1e-12)
+    out = annotate_units({"lc": [1.0]}, "pion")
+    assert out["box_fm"][0] == pytest.approx(1.41, rel=1e-12)
 
 
 def test_annotate_units_none_is_identity():
-    rows = [{"lc": 2.0}]
-    assert annotate_units(rows, "none") == rows
+    table = {"lc": [2.0]}
+    assert annotate_units(table, "none") == table
     with pytest.raises(ValueError):
-        annotate_units(rows, "muon")
+        annotate_units(table, "muon")
 
 
 def test_tol_override_still_solves():
@@ -331,6 +344,20 @@ def test_preset_flag_adds_column():
                     "--levels", "1", "--preset", "electron", "--format", "json")
     row = json.loads(result.output)["rows"][0]
     assert row["box_angstrom"] == pytest.approx(1.158, rel=1e-12)
+
+
+def test_preset_annotates_each_axis_of_explicit_lengths():
+    args = ("spectrum", "--dim", "3", "--lengths", "1,2,4", "--preset", "electron",
+            "--levels", "2")
+    rows = json.loads(invoke(*args, "--format", "json").output)["rows"]
+    assert rows
+    for row in rows:
+        assert row["lc"] == [1.0, 2.0, 4.0]
+        assert row["box_angstrom"] == [v * 3.86e-3 for v in (1.0, 2.0, 4.0)]
+    _, header, csv_rows = parse_csv(invoke(*args).output)
+    assert header[-1] == "box_angstrom"
+    cell = ";".join(f"{v * 3.86e-3:.17g}" for v in (1.0, 2.0, 4.0))
+    assert [r["box_angstrom"] for r in csv_rows] == [cell] * len(rows)
 
 
 # -- the column emitter -----------------------------------------------------

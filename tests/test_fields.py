@@ -12,8 +12,6 @@ from relbox import (
     BoxState,
     GridSpec,
     QuantumNumbers,
-    box_state_1d,
-    box_state_3d,
     conjugated_state,
     normalization_check,
     stationarity_residual,
@@ -25,6 +23,12 @@ from oracles import box_state_closed_form, simpson_integral
 UNIT_1D = BoxState(box=BoxSpec((1.0,)), qnums=QuantumNumbers((1,)))
 UNIT_CUBE = BoxState(box=BoxSpec.cube(1.0), qnums=QuantumNumbers((1, 1, 1)))
 
+
+def sample_1d(n, box_length, position, time=0.0):
+    """The nth 1D box eigenstate at one point."""
+    state = BoxState(box=BoxSpec((box_length,)), qnums=QuantumNumbers((n,)))
+    return state.sample((position,), time)
+
 # Positive-branch amplitude (eps + 1) / (2 sqrt(eps)) at eps = sqrt(2) and 2.
 PHI0_AT_X1 = 1.0150517651282178
 PHI0_AT_SQRT3 = 3.0 / (2.0 * math.sqrt(2.0))
@@ -34,7 +38,7 @@ def test_boundary_vanishing_1d():
     for n in (1, 2, 5):
         for t in (0.0, 0.7):
             for x in (0.0, 2.5):
-                s = box_state_1d(n, 2.5, x, t)
+                s = sample_1d(n, 2.5, x, t)
                 assert s.spinor.upper == 0j
                 assert s.spinor.lower == 0j
                 assert s.rho == 0.0
@@ -52,14 +56,14 @@ def test_boundary_vanishing_3d_faces():
         (0.7, 0.6, 3.0),
     ]
     for pos in face_points:
-        s = box_state_3d(qn, box, pos)
+        s = BoxState(box=box, qnums=qn).sample(pos)
         assert s.spinor.upper == 0j and s.spinor.lower == 0j
         assert s.rho == 0.0
         assert s.current == (0.0, 0.0, 0.0)
 
 
 def test_midpoint_value_1d():
-    s = box_state_1d(1, math.pi, math.pi / 2, 0.0)
+    s = sample_1d(1, math.pi, math.pi / 2, 0.0)
     assert s.spinor.upper.real == pytest.approx(
         math.sqrt(2.0 / math.pi) * PHI0_AT_X1, rel=1e-14
     )
@@ -68,7 +72,7 @@ def test_midpoint_value_1d():
 
 def test_center_value_3d():
     box = BoxSpec.cube(math.pi)
-    s = box_state_3d(QuantumNumbers((1, 1, 1)), box, (math.pi / 2,) * 3, 0.0)
+    s = BoxState(box=box, qnums=QuantumNumbers((1, 1, 1))).sample((math.pi / 2,) * 3, 0.0)
     assert s.spinor.upper.real == pytest.approx(
         math.sqrt(8.0 / math.pi**3) * PHI0_AT_SQRT3, rel=1e-13
     )
@@ -76,9 +80,9 @@ def test_center_value_3d():
 
 def test_position_outside_box_is_rejected():
     with pytest.raises(ValueError):
-        box_state_1d(1, 1.0, 1.5, 0.0)
+        sample_1d(1, 1.0, 1.5, 0.0)
     with pytest.raises(ValueError):
-        box_state_3d(QuantumNumbers((1, 1, 1)), BoxSpec.cube(1.0), (0.5, -0.1, 0.5))
+        UNIT_CUBE.sample((0.5, -0.1, 0.5))
     with pytest.raises(ValueError):
         UNIT_CUBE.sample((0.5, 0.5))
 

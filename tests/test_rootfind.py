@@ -1,5 +1,6 @@
 """Scalar bracketed solver and the 1D / 3D transcendental wavenumbers."""
 
+import dataclasses
 import itertools
 import math
 
@@ -19,7 +20,8 @@ from relbox import (
     kg_wavenumbers_3d,
     solve_bracketed,
 )
-from relbox.rootfind import _polish
+import relbox.rootfind
+from relbox.rootfind import _SCALAR_ITER_CAP, _polish
 
 from oracles import dirac_root_1d, newton_wavenumbers_3d
 
@@ -48,10 +50,10 @@ def test_solve_bracketed_requires_sign_change():
         solve_bracketed(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
-def test_solve_bracketed_iteration_cap():
-    cfg = SolverConfig(max_scalar_iters=2)
+def test_solve_bracketed_iteration_cap(monkeypatch):
+    monkeypatch.setattr(relbox.rootfind, "_SCALAR_ITER_CAP", 2)
     with pytest.raises(ConvergenceError) as excinfo:
-        solve_bracketed(lambda y: math.tan(y) + y, 1.6, 3.1, cfg)
+        solve_bracketed(lambda y: math.tan(y) + y, 1.6, 3.1)
     assert excinfo.value.last_estimate is not None
     assert 1.6 <= excinfo.value.last_estimate <= 3.1
 
@@ -100,7 +102,7 @@ def test_solve_bracketed_matches_scipy_brentq_bitwise(n, log_length, kinetic, cf
         hi,
         xtol=0.5 * cfg.rel_tol,
         rtol=max(0.5 * cfg.rel_tol, 4.0 * math.ulp(1.0)),
-        maxiter=cfg.max_scalar_iters,
+        maxiter=_SCALAR_ITER_CAP,
     )
     assert solve_bracketed(f, lo, hi, cfg) == _polish(f, expected, lo, hi)
 
@@ -312,30 +314,45 @@ def test_dirac_3d_matches_newton_oracle_anywhere(log_lengths, n):
         assert a == pytest.approx(b, rel=1e-12)
 
 
-def test_dirac_3d_damped_configuration_agrees():
-    qn = QuantumNumbers((2, 1, 3))
-    box = BoxSpec.cube(0.8)
-    default = dirac_wavenumbers_3d(qn, box)
-    damped = dirac_wavenumbers_3d(qn, box, SolverConfig(damping=0.5))
-    for a, b in zip(default, damped):
-        assert abs(a - b) <= 1e-10
+@settings(deadline=None, max_examples=100)
+@given(
+    log_lengths=st.tuples(*[st.floats(min_value=-1.0, max_value=3.0)] * 3),
+    n=st.tuples(*[st.integers(min_value=1, max_value=20)] * 3),
+)
+def test_dirac_3d_sweeps_descend_monotonically(log_lengths, n):
+    """Each axis root rises with the energy sum and the first sweep starts at
+    the spin-0 wavenumbers, the branch tops, so no axis ever rises."""
+    lengths = tuple(10.0**v for v in log_lengths)
+    roots = []
+    solve_axis = relbox.rootfind._solve_axis
+
+    def recording(n_i, length, e_sum):
+        roots.append(solve_axis(n_i, length, e_sum))
+        return roots[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relbox.rootfind, "_solve_axis", recording)
+        dirac_wavenumbers_3d(QuantumNumbers(n), BoxSpec(lengths))
+    assert len(roots) % 3 == 0
+    for axis in range(3):
+        start = n[axis] * math.pi / lengths[axis]
+        sweeps = [start] + roots[axis::3]
+        assert all(b <= a for a, b in zip(sweeps, sweeps[1:])), sweeps
 
 
-def test_dirac_3d_iteration_cap():
-    cfg = SolverConfig(max_fixed_point_iters=1)
+def test_dirac_3d_iteration_cap(monkeypatch):
+    monkeypatch.setattr(relbox.rootfind, "_SWEEP_CAP", 1)
     with pytest.raises(ConvergenceError) as excinfo:
-        dirac_wavenumbers_3d(QuantumNumbers((1, 1, 1)), BoxSpec.cube(0.5), cfg)
+        dirac_wavenumbers_3d(QuantumNumbers((1, 1, 1)), BoxSpec.cube(0.5))
     assert excinfo.value.iterations == 1
     assert len(excinfo.value.last_estimate) == 3
     # the per-sweep largest relative update, one entry per sweep
     assert len(excinfo.value.history) == 1
-    assert excinfo.value.history[0] > cfg.rel_tol
+    assert excinfo.value.history[0] > DEFAULT_CONFIG.rel_tol
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(damping=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_scalar_iters=0)
+    for bad in (0.0, -1e-12, math.nan):
+        with pytest.raises(ValueError):
+            SolverConfig(rel_tol=bad)
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["rel_tol"]

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,9 +15,9 @@ from relbox import (
     SpectrumRequest,
     count_states,
     enumerate_levels,
-    figure_table,
     level_1d,
     level_3d,
+    spectrum_table,
 )
 import relbox.spectra
 from relbox.spectra import (
@@ -420,39 +421,64 @@ def test_nonrelativistic_convergence_is_monotone():
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
 
+def _figure_table(models, lcs, count, dim):
+    return spectrum_table(models, [(lc, BoxSpec.cube(lc, dim=dim)) for lc in lcs], count)
+
+
+def _rows_of(table, model):
+    """(lc, qnums) -> kinetic for one model's rows."""
+    return {
+        (lc, tuple(q)): t
+        for m, lc, q, t in zip(table["model"], table["lc"], table["qnums"], table["kinetic"])
+        if m == model
+    }
+
+
 def test_figure_table_row_counts_and_order():
-    rows = figure_table(["kg", "dirac", "nonrel"], [1.0, 10.0, 100.0, 300.0], 4, 1)
-    assert len(rows) == 36  # 4 levels x 4 sizes x 2 models + 4 nonrel at 300
-    assert [r["model"] for r in rows[:16]] == ["kg"] * 16
-    assert [r["model"] for r in rows[16:32]] == ["dirac"] * 16
-    nonrel_rows = [r for r in rows if r["model"] == "nonrel"]
-    assert len(nonrel_rows) == 4
-    assert all(r["lc"] == 300.0 for r in nonrel_rows)
-    lcs = [r["lc"] for r in rows[:16]]
+    table = _figure_table(["kg", "dirac", "nonrel"], [1.0, 10.0, 100.0, 300.0], 4, 1)
+    models = table["model"]
+    assert len(models) == 36  # 4 levels x 4 sizes x 2 models + 4 nonrel at 300
+    assert models == ["kg"] * 16 + ["dirac"] * 16 + ["nonrel"] * 4
+    assert table["lc"][32:] == [300.0] * 4
+    lcs = table["lc"][:16]
     assert lcs == sorted(lcs)
+    assert list(table) == [
+        "model", "dim", "lc", "qnums", "wavenumbers", "kinetic", "degeneracy", "also"
+    ]
+    assert all(len(column) == 36 for column in table.values())
 
 
 def test_figure_table_unit_box_kg_values():
-    rows = figure_table(["kg"], [1.0], 4, 1)
-    for row, expected in zip(rows, KG_UNIT_BOX_T):
-        assert row["kinetic"] == pytest.approx(expected, rel=1e-13)
+    kinetic = _figure_table(["kg"], [1.0], 4, 1)["kinetic"]
+    assert len(kinetic) == len(KG_UNIT_BOX_T)
+    for value, expected in zip(kinetic, KG_UNIT_BOX_T):
+        assert value == pytest.approx(expected, rel=1e-13)
 
 
 def test_figure_table_large_box_models_agree():
-    rows = figure_table(["kg", "dirac"], [300.0], 4, 1)
-    kg = [r["kinetic"] for r in rows if r["model"] == "kg"]
-    dirac = [r["kinetic"] for r in rows if r["model"] == "dirac"]
-    for a, b in zip(kg, dirac):
-        assert abs(a - b) / a < 0.01
+    table = _figure_table(["kg", "dirac"], [300.0], 4, 1)
+    kg, dirac = _rows_of(table, "kg"), _rows_of(table, "dirac")
+    assert kg.keys() == dirac.keys()
+    for key, a in kg.items():
+        assert abs(a - dirac[key]) / a < 0.01
 
 
 def test_figure_table_dirac_rows_below_kg_3d():
-    rows = figure_table(["kg", "dirac"], [1.0, 10.0], 3, 3)
-    kg = {(r["lc"], tuple(r["qnums"])): r["kinetic"] for r in rows if r["model"] == "kg"}
-    dirac = {(r["lc"], tuple(r["qnums"])): r["kinetic"] for r in rows if r["model"] == "dirac"}
+    table = _figure_table(["kg", "dirac"], [1.0, 10.0], 3, 3)
+    kg, dirac = _rows_of(table, "kg"), _rows_of(table, "dirac")
     assert kg.keys() == dirac.keys()
     for key, val in dirac.items():
         assert val < kg[key]
+
+
+def test_spectrum_table_validation():
+    box = [(1.0, BoxSpec.cube(1.0, dim=1))]
+    with pytest.raises(ValueError):
+        spectrum_table(["kg", "muon"], box, 1)
+    with pytest.raises(ValueError):
+        spectrum_table(["kg"], [], 1)
+    with pytest.raises(ValueError):
+        spectrum_table(["kg"], box)  # neither count nor max_kinetic
 
 
 def test_capacity_error_is_explicit():
@@ -463,6 +489,27 @@ def test_capacity_error_is_explicit():
     req1d = SpectrumRequest(model="kg", box=BoxSpec((1.0,)), max_kinetic=1000.0)
     with pytest.raises(CapacityError):
         enumerate_levels(req1d, lattice_max=16)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_count_1d_beyond_float64_resolution_is_a_capacity_error(model):
+    """At L = 1e300 the branch-edge index bound overflows: a typed error at
+    once, not an OverflowError or a scan over ~1e304 indices."""
+    start = time.perf_counter()
+    with pytest.raises(CapacityError):
+        count_states(model, BoxSpec((1e300,)), 1e10)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_count_1d_large_kg_is_the_closed_form_at_once():
+    """3.2e13 levels, ~1e5 of them in the shell: bisected, not scanned."""
+    length, tmax = 1e11, 1e3
+    start = time.perf_counter()
+    n = count_states("kg", BoxSpec((length,)), tmax)
+    elapsed = time.perf_counter() - start
+    assert n == math.floor(length * math.sqrt(tmax * (tmax + 2.0)) / math.pi)
+    assert level_1d("kg", n, length).kinetic <= tmax < level_1d("kg", n + 1, length).kinetic
+    assert elapsed < 0.1
 
 
 def test_count_needs_a_finite_cutoff():

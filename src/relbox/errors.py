@@ -30,7 +30,7 @@ class ConvergenceError(RuntimeError):
 
 
 class CapacityError(RuntimeError):
-    """A level enumeration would need to scan beyond the configured lattice bound.
+    """A level enumeration or count would need indices beyond the lattice bound.
 
     Raised instead of silently truncating the spectrum.
     """

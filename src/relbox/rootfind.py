@@ -244,7 +244,8 @@ def dirac_wavenumbers_3d(
     the spin-0 wavenumbers, the solver alternates between recomputing T and
     re-solving each axis inside its branch, in the pole-free form
     sin(y) (x^2 - e^2) - 2 e x cos(y) with e = T + 2, until the largest
-    relative update drops below ``cfg.rel_tol``.
+    relative update drops below ``cfg.rel_tol`` or a sweep lowers no
+    wavenumber.
 
     The sweeps descend monotonically.  On the branch tan(xL) rises with x
     while the right-hand side falls with x and rises with e (its e-derivative
@@ -252,8 +253,9 @@ def dirac_wavenumbers_3d(
     and one sweep is an increasing map of T.  The first sweep starts from
     the spin-0 wavenumbers, the upper ends of the branches, so it lowers T;
     every later sweep then lowers each wavenumber again, down towards the
-    fixed point, and no update changes sign (short of rounding in the last
-    bits once ``rel_tol`` is near the float64 limit).
+    fixed point.  A sweep that lowers none has therefore reached the fixed
+    point to rounding in the last bits, which is where a ``rel_tol`` near
+    the float64 limit would otherwise leave the last bit alternating.
 
     Returns
     -------
@@ -269,9 +271,10 @@ def dirac_wavenumbers_3d(
         e_sum = dispersion("dirac", xs) + 2.0
         roots = [_solve_axis(n[i], lengths[i], e_sum) for i in range(3)]
         rel_change = max(abs(roots[i] - xs[i]) / max(roots[i], 1e-300) for i in range(3))
+        descending = any(roots[i] < xs[i] for i in range(3))
         xs = roots
         history.append(rel_change)
-        if rel_change < cfg.rel_tol:
+        if rel_change < cfg.rel_tol or not descending:
             return (xs[0], xs[1], xs[2], dispersion("dirac", xs))
     raise ConvergenceError(
         f"3D solve for indices {n} in box {lengths} still changing by "

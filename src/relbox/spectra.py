@@ -16,7 +16,6 @@ with the degeneracies summed and every representative retained.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, replace
 
@@ -51,8 +50,9 @@ MODELS = ("kg", "dirac", "nonrel")
 # than this, relatively; closer pairs are merged with summed degeneracy.
 MERGE_REL_TOL = 1e-9
 
-# Largest quantum number the enumerators will scan per axis before raising
-# CapacityError.  The 3D bound is cubic in cost, hence much smaller.
+# Enumeration bounds, past which CapacityError is raised: the number of 1D
+# levels returned, and the largest 3D index per axis a mode that can reach
+# the cutoff may have (the 3D lattice is cubic in cost, hence much smaller).
 DEFAULT_LATTICE_MAX_1D = 100_000
 DEFAULT_LATTICE_MAX_3D = 64
 
@@ -157,22 +157,24 @@ def level_3d(
 
 
 def enumerate_levels(
-    request: SpectrumRequest,
-    cfg: SolverConfig = DEFAULT_CONFIG,
-    lattice_max: int | None = None,
+    request: SpectrumRequest, cfg: SolverConfig = DEFAULT_CONFIG
 ) -> list[Level]:
     """Distinct levels in strictly increasing kinetic order.
 
-    Enumeration is complete: modes are visited in order of the lowest
-    conceivable kinetic energy (for spin-1/2 the bound uses the branch lower
-    edge (n_i - 1/2) pi / L_i, which bounds every root from below) until
-    that bound exceeds the cutoff.  If a mode that can still matter has an
-    index above ``lattice_max``, CapacityError is raised rather than
-    silently truncating.  ``cfg`` drives the 3D spin-1/2 fixed-point solve.
+    Enumeration is complete: in 3D every mode whose lowest conceivable
+    kinetic energy (for spin-1/2 the energy at the branch lower edges
+    (n_i - 1/2) pi / L_i, which bound every root from below) can reach the
+    cutoff is solved; in 1D levels rise strictly with n, so they are the
+    first ``count`` indices or the ``count_states`` number of them.  If a
+    3D mode that can still matter has an index above
+    ``DEFAULT_LATTICE_MAX_3D``, or there are more 1D levels than
+    ``DEFAULT_LATTICE_MAX_1D``, CapacityError is raised before the levels
+    are solved rather than silently truncating.  ``cfg`` drives the 3D
+    spin-1/2 fixed-point solve.
     """
     if request.box.dimension == 1:
-        return _enumerate_1d(request, lattice_max)
-    return _enumerate_3d(request, cfg, lattice_max)
+        return _enumerate_1d(request)
+    return _enumerate_3d(request, cfg)
 
 
 def count_states(
@@ -181,7 +183,6 @@ def count_states(
     max_kinetic: float,
     spin_counting: bool = False,
     cfg: SolverConfig = DEFAULT_CONFIG,
-    lattice_max: int | None = None,
 ) -> int:
     """Degeneracy-weighted number of states with kinetic <= max_kinetic.
 
@@ -193,8 +194,8 @@ def count_states(
     hi <= T (1 - 2 MERGE_REL_TOL), the interior, count as they are (in 3D
     one floor per (n1, n2) column); modes with lo > T (1 + MERGE_REL_TOL)
     cannot reach the cutoff, as in enumeration; only the shell in between
-    is solved and merged.  ``lattice_max`` bounds the indices of the 3D
-    spin-1/2 modes that must be solved; counting alone needs no cap.
+    is solved and merged.  ``DEFAULT_LATTICE_MAX_3D`` bounds the indices of
+    the 3D spin-1/2 modes that must be solved; counting alone needs no cap.
     """
     SpectrumRequest(model=model, box=box, max_kinetic=max_kinetic)  # validates
     if not math.isfinite(max_kinetic):
@@ -202,7 +203,7 @@ def count_states(
     if box.dimension == 1:
         total = _count_1d(model, box.lengths[0], max_kinetic)
     else:
-        total = _count_3d(model, box, max_kinetic, cfg, lattice_max)
+        total = _count_3d(model, box, max_kinetic, cfg)
     return total * _spin_factor(model, spin_counting)
 
 
@@ -249,14 +250,8 @@ def _count_1d(model: str, length: float, max_kinetic: float) -> int:
     return lo
 
 
-def _count_3d(
-    model: str,
-    box: BoxSpec,
-    max_kinetic: float,
-    cfg: SolverConfig,
-    lattice_max: int | None,
-) -> int:
-    cap = DEFAULT_LATTICE_MAX_3D if lattice_max is None else lattice_max
+def _count_3d(model: str, box: BoxSpec, max_kinetic: float, cfg: SolverConfig) -> int:
+    cap = DEFAULT_LATTICE_MAX_3D
     limit = max_kinetic * (1.0 + MERGE_REL_TOL)
     solved: dict[tuple[int, int, int], Level] = {}
 
@@ -377,27 +372,19 @@ def _lower_bound(model: str, indices: tuple[int, ...], lengths) -> float:
     ))
 
 
-def _enumerate_1d(request: SpectrumRequest, lattice_max: int | None) -> list[Level]:
-    cap = DEFAULT_LATTICE_MAX_1D if lattice_max is None else lattice_max
-    box_length = request.box.lengths[0]
-    spin = _spin_factor(request.model, request.spin_counting)
-    levels: list[Level] = []
-    n = 1
-    # 1D kinetic energies increase strictly with n (disjoint increasing
-    # brackets), so enumeration in n order is already complete.
-    while True:
-        if n > cap:
-            raise CapacityError(
-                f"1D enumeration needs indices above the lattice bound {cap}",
-                lattice_max=cap,
-            )
-        level = level_1d(request.model, n, box_length)
-        if request.max_kinetic is not None and level.kinetic > request.max_kinetic:
-            return levels
-        levels.append(replace(level, degeneracy=spin))
-        if request.count is not None and len(levels) == request.count:
-            return levels
-        n += 1
+def _enumerate_1d(request: SpectrumRequest) -> list[Level]:
+    model, length = request.model, request.box.lengths[0]
+    last = request.count
+    if last is None:
+        last = _count_1d(model, length, request.max_kinetic)
+    cap = DEFAULT_LATTICE_MAX_1D
+    if last > cap:
+        raise CapacityError(
+            f"1D enumeration needs {last} levels, above the lattice bound {cap}",
+            lattice_max=cap,
+        )
+    spin = _spin_factor(model, request.spin_counting)
+    return [replace(level_1d(model, n, length), degeneracy=spin) for n in range(1, last + 1)]
 
 
 def _cubic_multiplicity(triple: tuple[int, int, int]) -> int:
@@ -410,69 +397,57 @@ def _cubic_multiplicity(triple: tuple[int, int, int]) -> int:
     return 6
 
 
-def _enumerate_3d(
-    request: SpectrumRequest, cfg: SolverConfig, lattice_max: int | None
-) -> list[Level]:
-    """Best-first walk over the index lattice in order of the kinetic lower
-    bound, solving a triple only while that bound can still reach the cutoff.
+def _enumerate_3d(request: SpectrumRequest, cfg: SolverConfig) -> list[Level]:
+    """The shell walk of ``count_states`` with an empty interior: every mode
+    whose lower bound is at most T (1 + MERGE_REL_TOL) is solved, and the
+    merged levels at most T are kept.
 
-    On cubes only sorted triples are visited (each stands for its 1, 3 or 6
-    permutations).  For a ``count`` request the cutoff is the count-th
-    merged level among the triples solved so far, which can only fall as
-    more are solved.  It is recomputed before the walk stops or raises on
-    it, and, while fewer than ``count`` levels are known, as soon as enough
-    new triples are solved to complete them.
+    A ``count`` request is the same request at T = K (1 + MERGE_REL_TOL),
+    K the count-th level.  K is found by doubling a walk's reach from the
+    (1, 1, 1) lower bound until the count-th merged level lies within it
+    (levels are final up to the reach, as every mode below it is solved);
+    solved modes are kept across rounds.  Lower bounds rise with every
+    index, so the reach stays below the smallest bound of a mode with an
+    index above ``DEFAULT_LATTICE_MAX_3D``, and the request raises
+    CapacityError, without walking past that bound, if its
+    T (1 + MERGE_REL_TOL) reaches it.
     """
-    cap = DEFAULT_LATTICE_MAX_3D if lattice_max is None else lattice_max
-    box = request.box
-    model = request.model
+    model, box = request.model, request.box
     spin = _spin_factor(model, request.spin_counting)
-    on_cube = box.is_cube
+    cap = DEFAULT_LATTICE_MAX_3D
+    bound = min(
+        _lower_bound(model, (1,) * axis + (cap + 1,) + (1,) * (2 - axis), box.lengths)
+        for axis in range(3)
+    )
+    solved: dict[tuple[int, int, int], Level] = {}
+
+    def merged(reach):
+        _, modes = _split_lattice(model, box, 0.0, reach)
+        for triple, _ in modes:
+            if triple not in solved:
+                solved[triple] = level_3d(model, QuantumNumbers(triple), box, cfg)
+        return _merge_sorted([(solved[triple], weight * spin) for triple, weight in modes])
+
     margin = 1.0 + MERGE_REL_TOL
-
-    start = (1, 1, 1)
-    heap = [(_lower_bound(model, start, box.lengths), start)]
-    seen = {start}
-    entries = []
-    if request.count is None:
-        limit = request.max_kinetic * margin
-    else:
-        limit, refresh_at = math.inf, request.count
-    while heap:
-        lowest, triple = heap[0]
-        over_cap = max(triple) > cap
-        if request.count is not None and (
-            lowest > limit or over_cap or len(entries) >= refresh_at
-        ):
-            grouped = _merge_sorted(entries)
-            if len(grouped) < request.count:
-                limit = math.inf
-                refresh_at = len(entries) + request.count - len(grouped)
-            else:
-                limit = grouped[request.count - 1].kinetic * margin * margin
-                refresh_at = math.inf
-        if lowest > limit:
-            break
-        if over_cap:
-            raise CapacityError(
-                f"3D enumeration needs indices above the lattice bound {cap}",
-                lattice_max=cap,
-            )
-        heapq.heappop(heap)
-        mult = _cubic_multiplicity(triple) if on_cube else 1
-        entries.append((level_3d(model, QuantumNumbers(triple), box, cfg), mult * spin))
-        for axis in range(3):
-            nxt = triple[:axis] + (triple[axis] + 1,) + triple[axis + 1:]
-            if on_cube and axis < 2 and nxt[axis] > nxt[axis + 1]:
-                continue  # not sorted
-            if nxt not in seen:
-                seen.add(nxt)
-                heapq.heappush(heap, (_lower_bound(model, nxt, box.lengths), nxt))
-
-    grouped = _merge_sorted(entries)
-    if request.count is None:
-        return [g for g in grouped if g.kinetic <= request.max_kinetic]
-    return grouped[: request.count]
+    cutoff, count = request.max_kinetic, request.count
+    if count is not None:
+        top = math.nextafter(bound, -math.inf)  # walks stop below every mode past the cap
+        reach = _lower_bound(model, (1, 1, 1), box.lengths)
+        while True:
+            reach = min(reach, top)
+            levels = merged(reach)
+            if len(levels) >= count and levels[count - 1].kinetic <= reach:
+                cutoff = levels[count - 1].kinetic * margin
+                break
+            if not reach < top:
+                cutoff = math.inf  # the count-th level lies past the bound
+                break
+            reach = max(2.0 * reach, math.ulp(0.0))  # a lower bound can underflow to 0
+    if not bound > cutoff * margin:  # also when an overflowing bound is NaN
+        raise CapacityError(
+            f"3D enumeration needs indices above the lattice bound {cap}", lattice_max=cap
+        )
+    return [lv for lv in merged(cutoff * margin) if lv.kinetic <= cutoff][:count]
 
 
 def _merge_sorted(entries) -> list[Level]:

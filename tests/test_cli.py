@@ -288,6 +288,14 @@ def test_count_1d_beyond_float64_resolution_exit_code():
     assert "float64" in result.output
 
 
+def test_dirac_3d_spectrum_at_a_tolerance_below_float64_resolution():
+    """At tol 1e-16 the last bit of some roots alternates between sweeps; the
+    fixed point stops at the first sweep that lowers no wavenumber."""
+    result = invoke("spectrum", "--dim", "3", "--model", "dirac",
+                    "--lc", "1,2,3,5,7,10", "--levels", "20", "--tol", "1e-16")
+    assert result.exit_code == 0, result.output
+
+
 def test_capacity_exit_code():
     result = invoke("spectrum", "--dim", "3", "--model", "kg", "--lc", "1",
                     "--tmax", "1000")

@@ -324,20 +324,28 @@ def test_large_kg_counts_follow_the_weyl_expansion(lengths, tmax, count):
     assert abs(count - weyl_count(lengths, k)) <= 0.01 * surface_term
 
 
-def test_kg_count_request_solves_only_up_to_its_last_level(solved):
-    """Spin-0 lower bounds are the energies themselves, so a count request
-    needs exactly the sorted triples up to the last level's energy; most
-    of the first 300 cubic levels merge several triples, so the cutoff has
-    to be refreshed as levels complete."""
-    levels = enumerate_levels(SpectrumRequest(model="kg", box=BoxSpec.cube(1.0), count=300))
-    last_norm_sq = sum(n * n for n in levels[-1].qnums.indices)
-    needed = [
+@pytest.mark.parametrize("model, count, spin", [("kg", 300, False), ("dirac", 200, True)])
+def test_count_request_solves_each_reachable_triple_once(solved, model, count, spin):
+    """A count request on the unit cube solves, once each, every sorted
+    triple whose lower bound (spin-0 energy, or branch-edge energy for
+    spin-1/2) can reach the count-th level K with the two merge margins,
+    and, finding K by doubling, none bound above 2 K (1 + 1e-9)."""
+    request = SpectrumRequest(model, BoxSpec.cube(1.0), count=count, spin_counting=spin)
+    last = enumerate_levels(request)[-1].kinetic
+    shift = 0.5 if model == "dirac" else 0.0
+
+    def lower_bound(triple):
+        return _relativistic_kinetic(sum(((n - shift) * math.pi) ** 2 for n in triple))
+
+    margin = 1.0 + MERGE_REL_TOL
+    needed = {
         t
         for t in itertools.combinations_with_replacement(range(1, 40), 3)
-        if sum(n * n for n in t) <= last_norm_sq
-    ]
-    assert len(solved) == len(set(solved)) == len(needed)
-    assert set(solved) == set(needed)
+        if lower_bound(t) <= last * margin * margin
+    }
+    assert len(solved) == len(set(solved))
+    assert needed <= set(solved)
+    assert max(lower_bound(t) for t in solved) <= 2.0 * last * margin
 
 
 @pytest.mark.parametrize(
@@ -481,14 +489,48 @@ def test_spectrum_table_validation():
         spectrum_table(["kg"], box)  # neither count nor max_kinetic
 
 
-def test_capacity_error_is_explicit():
+def test_capacity_error_is_explicit(monkeypatch):
+    monkeypatch.setattr(relbox.spectra, "DEFAULT_LATTICE_MAX_3D", 8)
     req = SpectrumRequest(model="kg", box=BoxSpec.cube(1.0), max_kinetic=1000.0)
     with pytest.raises(CapacityError) as excinfo:
-        enumerate_levels(req, lattice_max=8)
+        enumerate_levels(req)
     assert excinfo.value.lattice_max == 8
+    monkeypatch.setattr(relbox.spectra, "DEFAULT_LATTICE_MAX_1D", 16)
     req1d = SpectrumRequest(model="kg", box=BoxSpec((1.0,)), max_kinetic=1000.0)
+    with pytest.raises(CapacityError) as excinfo:
+        enumerate_levels(req1d)
+    assert excinfo.value.lattice_max == 16
+
+
+@pytest.mark.parametrize("model", ["kg", "dirac"])
+def test_1d_enumeration_past_the_bound_is_refused_at_once(model):
+    """About 1.6e5 levels lie below kinetic 50 at L = 1e4: refused from the
+    bisected count, without solving the first 1e5 of them."""
+    request = SpectrumRequest(model, BoxSpec((1e4,)), max_kinetic=50.0)
+    start = time.perf_counter()
     with pytest.raises(CapacityError):
-        enumerate_levels(req1d, lattice_max=16)
+        enumerate_levels(request)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_3d_enumeration_past_the_bound_is_refused_before_any_solve(solved):
+    """Indices up to ~1e5 on the long axes would reach kinetic 1e4; the
+    lattice bound is tested before the walk, so nothing is solved."""
+    request = SpectrumRequest("kg", BoxSpec((1.0, 30.0, 30.0)), max_kinetic=1e4)
+    with pytest.raises(CapacityError):
+        enumerate_levels(request)
+    assert solved == []
+
+
+@pytest.mark.parametrize("length", [1e170, 1e-160])
+def test_3d_count_request_with_degenerate_lower_bounds_is_refused(length):
+    """At L = 1e170 every lower bound up to the lattice bound underflows to
+    0, at L = 1e-160 every one overflows (to NaN): the doubling walk cannot
+    grow, so the request is refused at once instead of looping."""
+    start = time.perf_counter()
+    with pytest.raises(CapacityError):
+        enumerate_levels(SpectrumRequest("kg", BoxSpec.cube(length), count=4))
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("model", MODELS)

@@ -26,8 +26,6 @@ from .fields import (
     stationarity_residual,
 )
 from .rootfind import (
-    DEFAULT_CONFIG,
-    SolverConfig,
     dirac_wavenumber_1d,
     dirac_wavenumbers_3d,
     kg_wavenumber_1d,
@@ -57,8 +55,6 @@ __all__ = [
     "scaled_kinetic_energy",
     "nonrel_kinetic_energy",
     "charge_conjugate",
-    "SolverConfig",
-    "DEFAULT_CONFIG",
     "solve_bracketed",
     "kg_wavenumber_1d",
     "dirac_wavenumber_1d",

@@ -5,7 +5,8 @@ CSV or JSON.  Floats are serialized with 17 significant digits so repeated
 runs are byte-identical and values survive a parse round trip.  Exit codes:
 0 success, 2 bad usage, 3 solver failure, 4 enumeration capacity exceeded
 (for ``count``: a 3D spin-1/2 solve needed beyond the lattice bound, or a 1D
-count beyond float64 resolution).
+count beyond float64 resolution; for both: a kinetic energy beyond the
+float64 range).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 from .core import BoxSpec, QuantumNumbers
 from .errors import BracketError, CapacityError, ConvergenceError
 from .fields import BoxState, GridSpec, normalization_check, stationarity_residual
-from .rootfind import DEFAULT_CONFIG, SolverConfig
 from .spectra import MODELS, count_states, spectrum_table
 
 __all__ = ["cli", "main", "annotate_units"]
@@ -149,7 +149,7 @@ def _parse_floats(ctx, param, value):
     if not items:
         raise click.BadParameter("empty list")
     for v in items:
-        if not (v > 0.0) or not np.isfinite(v):
+        if not (v > 0.0) or not math.isfinite(v):
             raise click.BadParameter("entries must be positive finite numbers")
     return items
 
@@ -165,14 +165,6 @@ def _parse_ints(ctx, param, value):
         if v < 1:
             raise click.BadParameter("entries must be integers >= 1")
     return items
-
-
-def _solver_config(tol: float | None) -> SolverConfig:
-    if tol is None:
-        return DEFAULT_CONFIG
-    if not (tol > 0.0):
-        raise click.UsageError("Invalid value for '--tol': must be > 0.")
-    return SolverConfig(rel_tol=tol)
 
 
 def _expand_models(model: str) -> list[str]:
@@ -203,7 +195,8 @@ def _run_guarded(fn):
     try:
         return fn()
     except CapacityError as exc:
-        click.echo(f"error: {exc} (lattice bound {exc.lattice_max})", err=True)
+        bound = f" (lattice bound {exc.lattice_max})" if exc.lattice_max else ""
+        click.echo(f"error: {exc}{bound}", err=True)
         sys.exit(4)
     except (ConvergenceError, BracketError) as exc:
         click.echo(f"error: {exc}", err=True)
@@ -253,9 +246,8 @@ def cli():
     "--preset", type=click.Choice(["electron", "pion", "none"]), default="none",
     show_default=True, help="Annotate box sizes in physical units.",
 )
-@click.option("--tol", type=float, default=None, help="3D fixed-point relative tolerance.")
 @click.pass_context
-def spectrum(ctx, dim, model, lc, lengths, levels, tmax, spin_counting, fmt, out, preset, tol):
+def spectrum(ctx, dim, model, lc, lengths, levels, tmax, spin_counting, fmt, out, preset):
     """Tabulate energy levels: the data behind the comparison figures.
 
     Emits one row per (model, box, level) ordered by model (kg, dirac,
@@ -272,12 +264,9 @@ def spectrum(ctx, dim, model, lc, lengths, levels, tmax, spin_counting, fmt, out
         raise click.UsageError("Invalid value for '--levels': must be >= 1.")
     if tmax is not None and not (tmax > 0.0):
         raise click.UsageError("Invalid value for '--tmax': must be > 0.")
-    cfg = _solver_config(tol)
     boxes = _boxes(dim, lc, lengths)
     models = _expand_models(model)
-    table = _run_guarded(
-        lambda: spectrum_table(models, boxes, levels, tmax, spin_counting, cfg)
-    )
+    table = _run_guarded(lambda: spectrum_table(models, boxes, levels, tmax, spin_counting))
     table = annotate_units(table, preset)
     config = {
         "command": "spectrum",
@@ -311,19 +300,17 @@ def spectrum(ctx, dim, model, lc, lengths, levels, tmax, spin_counting, fmt, out
     show_default=True,
 )
 @click.option("--out", type=click.Path(), default=None)
-@click.option("--tol", type=float, default=None, help="3D fixed-point relative tolerance.")
 @click.pass_context
-def count(ctx, dim, model, lc, lengths, tmax, spin_counting, fmt, out, tol):
+def count(ctx, dim, model, lc, lengths, tmax, spin_counting, fmt, out):
     """Count states with kinetic energy at or below the cutoff."""
     dim = int(dim)
     _reject_lc_with_lengths(ctx, lengths)
     if not (0.0 < tmax < math.inf):
         raise click.UsageError("Invalid value for '--tmax': must be > 0 and finite.")
-    cfg = _solver_config(tol)
     boxes = _boxes(dim, lc, lengths)
     runs = [(m, cell, box) for m in _expand_models(model) for cell, box in boxes]
     counts = _run_guarded(
-        lambda: [count_states(m, box, tmax, spin_counting, cfg) for m, _, box in runs]
+        lambda: [count_states(m, box, tmax, spin_counting) for m, _, box in runs]
     )
     table = {
         "model": [m for m, _, _ in runs],
@@ -414,7 +401,7 @@ def field(dim, n, lc, lengths, grid, conjugate, fmt, out):
         }
         return table, summary
 
-    table, summary = _run_guarded(build)
+    table, summary = build()
     config = {
         "command": "field",
         "dim": dim,

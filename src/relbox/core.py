@@ -180,8 +180,11 @@ def nonrel_kinetic_energy(wavenumber: float) -> float:
 def dispersion(model: str, wavenumbers: tuple[float, ...]) -> float:
     """Scaled kinetic energy of a mode with the given wavenumbers: the
     cancellation-free sqrt(|x|^2 + 1) - 1 for ``kg`` and ``dirac``, |x|^2 / 2
-    for ``nonrel``."""
-    norm_sq = math.fsum(x * x for x in wavenumbers)
+    for ``nonrel``.  Where |x|^2 overflows the first is NaN, the second +inf."""
+    try:
+        norm_sq = math.fsum(x * x for x in wavenumbers)
+    except OverflowError:  # finite squares whose sum overflows
+        norm_sq = math.inf
     if model in ("kg", "dirac"):
         return norm_sq / (math.sqrt(norm_sq + 1.0) + 1.0)
     if model == "nonrel":

@@ -10,7 +10,7 @@ class BracketError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iteration hit its cap before reaching the requested tolerance.
+    """An iteration hit its cap before reaching its tolerance.
 
     Attributes
     ----------
@@ -30,9 +30,11 @@ class ConvergenceError(RuntimeError):
 
 
 class CapacityError(RuntimeError):
-    """A level enumeration or count would need indices beyond the lattice bound.
+    """A level enumeration or count would need indices beyond the lattice
+    bound, or energies beyond the float64 range.
 
-    Raised instead of silently truncating the spectrum.
+    Raised instead of silently truncating the spectrum or returning NaN.
+    ``lattice_max`` is the index bound exceeded, 0 for a float64 overflow.
     """
 
     def __init__(self, message: str, lattice_max: int = 0):

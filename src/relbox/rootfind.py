@@ -15,15 +15,12 @@ Compton units; see :mod:`relbox.core`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .core import BoxSpec, QuantumNumbers, dispersion
 from .errors import BracketError, ConvergenceError
 
 __all__ = [
-    "SolverConfig",
-    "DEFAULT_CONFIG",
     "solve_bracketed",
     "kg_wavenumber_1d",
     "dirac_wavenumber_1d",
@@ -33,43 +30,28 @@ __all__ = [
 
 _EPS = math.ulp(1.0)
 
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Relative tolerance of the 3D fixed point (and of direct
-    ``solve_bracketed`` calls), checked once here."""
-
-    rel_tol: float = 1e-12
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0.0):
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-
-
-DEFAULT_CONFIG = SolverConfig()
-
-# Tolerance pushing the scalar sub-solves to the float64 limit; the tangent
+# Relative tolerance of every scalar solve, at the float64 limit; the tangent
 # equations are stiff near the poles, so anything looser leaks into the
 # transcendental residual.
-_SCALAR_CFG = SolverConfig(rel_tol=2e-15)
+_SCALAR_REL_TOL = 2e-15
+
+# Largest relative update at which the 3D fixed point stops.  The figure
+# tables are tied to this value: tightening it moves their last digits.
+_SWEEP_REL_TOL = 1e-12
 
 # Iteration caps: Brent steps per scalar solve, sweeps per 3D fixed point.
 _SCALAR_ITER_CAP = 200
 _SWEEP_CAP = 500
 
 
-def solve_bracketed(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    cfg: SolverConfig = DEFAULT_CONFIG,
-) -> float:
-    """Root of ``f`` on [lo, hi], safeguarded against slow convergence.
+def solve_bracketed(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of ``f`` on [lo, hi], to the float64 limit.
 
     Uses Brent's method (inverse-quadratic/secant steps with a bisection
-    fallback), then nudges the result over neighbouring floats to minimise
-    |f|.  The result never leaves [lo, hi] and is within
-    ``rel_tol * max(1, |root|)`` of the true root.
+    fallback) at relative tolerance ``_SCALAR_REL_TOL``, then nudges the
+    result over neighbouring floats to minimise |f|.  The result never
+    leaves [lo, hi] and is within ``_SCALAR_REL_TOL * max(1, |root|)`` of
+    the true root.
 
     Raises
     ------
@@ -92,8 +74,8 @@ def solve_bracketed(
         raise BracketError(
             f"no sign change on [{lo}, {hi}]: f(lo)={flo:.3g}, f(hi)={fhi:.3g}"
         )
-    xtol = 0.5 * cfg.rel_tol
-    rtol = max(0.5 * cfg.rel_tol, 4.0 * _EPS)
+    xtol = 0.5 * _SCALAR_REL_TOL
+    rtol = max(0.5 * _SCALAR_REL_TOL, 4.0 * _EPS)
     root = _brent(f, lo, hi, flo, fhi, xtol, rtol, _SCALAR_ITER_CAP)
     return _polish(f, float(root), lo, hi)
 
@@ -186,7 +168,7 @@ def _solve_branch(
     which the float nearest (n - 1/2) pi may then overshoot.
     """
     lo, hi = (n - 0.5) * math.pi, n * math.pi
-    root = solve_bracketed(g, lo, hi, _SCALAR_CFG)
+    root = solve_bracketed(g, lo, hi)
     return _polish(f, root, lo, hi)
 
 
@@ -230,9 +212,7 @@ def kg_wavenumbers_3d(qnums: QuantumNumbers, box: BoxSpec) -> tuple[float, float
 
 
 def dirac_wavenumbers_3d(
-    qnums: QuantumNumbers,
-    box: BoxSpec,
-    cfg: SolverConfig = DEFAULT_CONFIG,
+    qnums: QuantumNumbers, box: BoxSpec
 ) -> tuple[float, float, float, float]:
     """Self-consistent spin-1/2 wavenumbers (x1, x2, x3) and kinetic energy.
 
@@ -244,8 +224,10 @@ def dirac_wavenumbers_3d(
     the spin-0 wavenumbers, the solver alternates between recomputing T and
     re-solving each axis inside its branch, in the pole-free form
     sin(y) (x^2 - e^2) - 2 e x cos(y) with e = T + 2, until the largest
-    relative update drops below ``cfg.rel_tol`` or a sweep lowers no
-    wavenumber.
+    relative update drops below ``_SWEEP_REL_TOL`` (1e-12) or a sweep lowers
+    no wavenumber.  Stopping at 1e-12 leaves the last few digits unconverged:
+    a returned wavenumber can sit up to about 5e-13 relative from the
+    coupled root.
 
     The sweeps descend monotonically.  On the branch tan(xL) rises with x
     while the right-hand side falls with x and rises with e (its e-derivative
@@ -254,8 +236,8 @@ def dirac_wavenumbers_3d(
     the spin-0 wavenumbers, the upper ends of the branches, so it lowers T;
     every later sweep then lowers each wavenumber again, down towards the
     fixed point.  A sweep that lowers none has therefore reached the fixed
-    point to rounding in the last bits, which is where a ``rel_tol`` near
-    the float64 limit would otherwise leave the last bit alternating.
+    point to rounding in the last bits, which is where a tolerance near the
+    float64 limit would otherwise leave the last bit alternating.
 
     Returns
     -------
@@ -274,7 +256,7 @@ def dirac_wavenumbers_3d(
         descending = any(roots[i] < xs[i] for i in range(3))
         xs = roots
         history.append(rel_change)
-        if rel_change < cfg.rel_tol or not descending:
+        if rel_change < _SWEEP_REL_TOL or not descending:
             return (xs[0], xs[1], xs[2], dispersion("dirac", xs))
     raise ConvergenceError(
         f"3D solve for indices {n} in box {lengths} still changing by "

@@ -22,8 +22,6 @@ from dataclasses import dataclass, replace
 from .core import BoxSpec, QuantumNumbers, dispersion
 from .errors import CapacityError
 from .rootfind import (
-    DEFAULT_CONFIG,
-    SolverConfig,
     dirac_wavenumber_1d,
     dirac_wavenumbers_3d,
     kg_wavenumber_1d,
@@ -76,8 +74,8 @@ class Level:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
-        if self.kinetic < 0.0:
-            raise ValueError("kinetic energy cannot be negative")
+        if not self.kinetic >= 0.0:
+            raise ValueError(f"kinetic energy must be >= 0, got {self.kinetic}")
         if self.degeneracy < 1:
             raise ValueError("degeneracy must be >= 1")
 
@@ -132,15 +130,10 @@ def level_1d(model: str, n: int, box_length: float) -> Level:
     )
 
 
-def level_3d(
-    model: str,
-    qnums: QuantumNumbers,
-    box: BoxSpec,
-    cfg: SolverConfig = DEFAULT_CONFIG,
-) -> Level:
+def level_3d(model: str, qnums: QuantumNumbers, box: BoxSpec) -> Level:
     """One 3D level of the given model (degeneracy left at 1)."""
     if model == "dirac":
-        x1, x2, x3, kinetic = dirac_wavenumbers_3d(qnums, box, cfg)
+        x1, x2, x3, kinetic = dirac_wavenumbers_3d(qnums, box)
         xs = (x1, x2, x3)
     elif model in ("kg", "nonrel"):
         xs = kg_wavenumbers_3d(qnums, box)
@@ -156,9 +149,7 @@ def level_3d(
     )
 
 
-def enumerate_levels(
-    request: SpectrumRequest, cfg: SolverConfig = DEFAULT_CONFIG
-) -> list[Level]:
+def enumerate_levels(request: SpectrumRequest) -> list[Level]:
     """Distinct levels in strictly increasing kinetic order.
 
     Enumeration is complete: in 3D every mode whose lowest conceivable
@@ -169,12 +160,11 @@ def enumerate_levels(
     3D mode that can still matter has an index above
     ``DEFAULT_LATTICE_MAX_3D``, or there are more 1D levels than
     ``DEFAULT_LATTICE_MAX_1D``, CapacityError is raised before the levels
-    are solved rather than silently truncating.  ``cfg`` drives the 3D
-    spin-1/2 fixed-point solve.
+    are solved rather than silently truncating.
     """
     if request.box.dimension == 1:
         return _enumerate_1d(request)
-    return _enumerate_3d(request, cfg)
+    return _enumerate_3d(request)
 
 
 def count_states(
@@ -182,7 +172,6 @@ def count_states(
     box: BoxSpec,
     max_kinetic: float,
     spin_counting: bool = False,
-    cfg: SolverConfig = DEFAULT_CONFIG,
 ) -> int:
     """Degeneracy-weighted number of states with kinetic <= max_kinetic.
 
@@ -203,7 +192,7 @@ def count_states(
     if box.dimension == 1:
         total = _count_1d(model, box.lengths[0], max_kinetic)
     else:
-        total = _count_3d(model, box, max_kinetic, cfg)
+        total = _count_3d(model, box, max_kinetic)
     return total * _spin_factor(model, spin_counting)
 
 
@@ -250,7 +239,7 @@ def _count_1d(model: str, length: float, max_kinetic: float) -> int:
     return lo
 
 
-def _count_3d(model: str, box: BoxSpec, max_kinetic: float, cfg: SolverConfig) -> int:
+def _count_3d(model: str, box: BoxSpec, max_kinetic: float) -> int:
     cap = DEFAULT_LATTICE_MAX_3D
     limit = max_kinetic * (1.0 + MERGE_REL_TOL)
     solved: dict[tuple[int, int, int], Level] = {}
@@ -262,7 +251,7 @@ def _count_3d(model: str, box: BoxSpec, max_kinetic: float, cfg: SolverConfig) -
                     f"3D count needs spin-1/2 solves above the lattice bound {cap}",
                     lattice_max=cap,
                 )
-            solved[triple] = level_3d(model, QuantumNumbers(triple), box, cfg)
+            solved[triple] = level_3d(model, QuantumNumbers(triple), box)
         return solved[triple]
 
     def split(threshold):
@@ -284,6 +273,8 @@ def _split_lattice(model: str, box: BoxSpec, threshold: float, limit: float):
     lengths = box.lengths
     cube = box.is_cube
     budget = _norm_sq_budget(model, threshold)
+    if budget == math.inf:
+        raise CapacityError(f"|x|^2 at kinetic energy {threshold} overflows float64")
     inside, shell = 0, []
     n1 = 1
     while _lower_bound(model, (n1, n1, n1) if cube else (n1, 1, 1), lengths) <= limit:
@@ -366,10 +357,19 @@ def _lower_bound_wavenumber(model: str, n: int, length: float) -> float:
 
 def _lower_bound(model: str, indices: tuple[int, ...], lengths) -> float:
     """Kinetic energy at the lower edge of every axis's wavenumber range:
-    the energy itself for kg and nonrel, a bound below it for spin-1/2."""
-    return dispersion(model, tuple(
+    the energy itself for kg and nonrel, a bound below it for spin-1/2.
+
+    Raises CapacityError where |x|^2 overflows and the relativistic energy
+    comes out NaN (the quadratic one overflows to +inf, above any cutoff).
+    """
+    bound = dispersion(model, tuple(
         _lower_bound_wavenumber(model, n, length) for n, length in zip(indices, lengths)
     ))
+    if math.isnan(bound):
+        raise CapacityError(
+            f"kinetic energy of indices {indices} in box {tuple(lengths)} overflows float64"
+        )
+    return bound
 
 
 def _enumerate_1d(request: SpectrumRequest) -> list[Level]:
@@ -377,6 +377,8 @@ def _enumerate_1d(request: SpectrumRequest) -> list[Level]:
     last = request.count
     if last is None:
         last = _count_1d(model, length, request.max_kinetic)
+    else:
+        _lower_bound(model, (last,), (length,))  # raises if the last energy overflows
     cap = DEFAULT_LATTICE_MAX_1D
     if last > cap:
         raise CapacityError(
@@ -397,7 +399,7 @@ def _cubic_multiplicity(triple: tuple[int, int, int]) -> int:
     return 6
 
 
-def _enumerate_3d(request: SpectrumRequest, cfg: SolverConfig) -> list[Level]:
+def _enumerate_3d(request: SpectrumRequest) -> list[Level]:
     """The shell walk of ``count_states`` with an empty interior: every mode
     whose lower bound is at most T (1 + MERGE_REL_TOL) is solved, and the
     merged levels at most T are kept.
@@ -425,7 +427,7 @@ def _enumerate_3d(request: SpectrumRequest, cfg: SolverConfig) -> list[Level]:
         _, modes = _split_lattice(model, box, 0.0, reach)
         for triple, _ in modes:
             if triple not in solved:
-                solved[triple] = level_3d(model, QuantumNumbers(triple), box, cfg)
+                solved[triple] = level_3d(model, QuantumNumbers(triple), box)
         return _merge_sorted([(solved[triple], weight * spin) for triple, weight in modes])
 
     margin = 1.0 + MERGE_REL_TOL
@@ -443,7 +445,7 @@ def _enumerate_3d(request: SpectrumRequest, cfg: SolverConfig) -> list[Level]:
                 cutoff = math.inf  # the count-th level lies past the bound
                 break
             reach = max(2.0 * reach, math.ulp(0.0))  # a lower bound can underflow to 0
-    if not bound > cutoff * margin:  # also when an overflowing bound is NaN
+    if not bound > cutoff * margin:
         raise CapacityError(
             f"3D enumeration needs indices above the lattice bound {cap}", lattice_max=cap
         )
@@ -482,7 +484,6 @@ def spectrum_table(
     count: int | None = None,
     max_kinetic: float | None = None,
     spin_counting: bool = False,
-    cfg: SolverConfig = DEFAULT_CONFIG,
 ) -> dict:
     """Levels of each model in each box, as a table of columns: the data
     behind the spectrum-comparison figures.
@@ -501,7 +502,7 @@ def spectrum_table(
     for model in (m for m in MODELS if m in models):
         for cell, box in boxes[-1:] if model == "nonrel" else boxes:
             request = SpectrumRequest(model, box, count, max_kinetic, spin_counting)
-            for level in enumerate_levels(request, cfg):
+            for level in enumerate_levels(request):
                 row = (model, box.dimension, cell, list(level.qnums.indices),
                        list(level.wavenumbers), level.kinetic, level.degeneracy,
                        [list(q.indices) for q in level.also])

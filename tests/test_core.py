@@ -11,6 +11,7 @@ from relbox import (
     ModeAmplitudes,
     QuantumNumbers,
     charge_conjugate,
+    dispersion,
     mode_amplitudes,
     nonrel_kinetic_energy,
     scaled_kinetic_energy,
@@ -180,3 +181,11 @@ def test_quantum_numbers_arity_check():
     qn.check_matches(BoxSpec.cube(1.0))
     with pytest.raises(ValueError):
         qn.check_matches(BoxSpec((1.0,)))
+
+
+@pytest.mark.parametrize("wavenumbers", [(1e155,), (1e154, 1e154, 1e154)])
+def test_dispersion_past_the_float_range(wavenumbers):
+    """An overflowing |x|^2, of one square or of a sum of finite squares,
+    gives NaN for the relativistic energy and +inf for the quadratic one."""
+    assert math.isnan(dispersion("kg", wavenumbers))
+    assert dispersion("nonrel", wavenumbers) == math.inf

@@ -1,6 +1,5 @@
 """Scalar bracketed solver and the 1D / 3D transcendental wavenumbers."""
 
-import dataclasses
 import itertools
 import math
 
@@ -8,12 +7,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from relbox import (
-    DEFAULT_CONFIG,
     BoxSpec,
     BracketError,
     ConvergenceError,
     QuantumNumbers,
-    SolverConfig,
     dirac_wavenumber_1d,
     dirac_wavenumbers_3d,
     kg_wavenumber_1d,
@@ -21,7 +18,7 @@ from relbox import (
     solve_bracketed,
 )
 import relbox.rootfind
-from relbox.rootfind import _SCALAR_ITER_CAP, _polish
+from relbox.rootfind import _SCALAR_ITER_CAP, _SCALAR_REL_TOL, _brent, _polish
 
 from oracles import dirac_root_1d, newton_wavenumbers_3d
 
@@ -66,21 +63,19 @@ def test_solve_bracketed_nan_is_typed_error():
         solve_bracketed(f, 0.0, 2.0)
 
 
-_MACHINE_CFG = SolverConfig(rel_tol=2e-15)
-
-
 # no deadline: the first example pays for importing scipy
 @settings(deadline=None, max_examples=500)
 @given(
     n=st.integers(min_value=1, max_value=3000),
     log_length=st.floats(min_value=-1.0, max_value=4.0),
     kinetic=st.one_of(st.none(), st.floats(min_value=1e-6, max_value=1e3)),
-    cfg=st.sampled_from([_MACHINE_CFG, DEFAULT_CONFIG]),
+    rel_tol=st.sampled_from([_SCALAR_REL_TOL, 1e-12]),
 )
-def test_solve_bracketed_matches_scipy_brentq_bitwise(n, log_length, kinetic, cfg):
-    """The in-house Brent solver returns exactly scipy's float (plus the
-    same polish) on the smooth 1D and 3D forms over the exact branch
-    brackets the library solves."""
+def test_solve_bracketed_matches_scipy_brentq_bitwise(n, log_length, kinetic, rel_tol):
+    """The in-house Brent iteration returns exactly scipy's float on the
+    smooth 1D and 3D forms over the exact branch brackets the library
+    solves, at the scalar tolerance and a looser one; ``solve_bracketed``
+    is that float at the scalar tolerance, plus the same polish."""
     optimize = pytest.importorskip("scipy.optimize")
     box_length = 10.0**log_length
     lo, hi = (n - 0.5) * math.pi, n * math.pi
@@ -96,15 +91,11 @@ def test_solve_bracketed_matches_scipy_brentq_bitwise(n, log_length, kinetic, cf
 
     if not f(lo) * f(hi) < 0.0:
         return  # no root on this branch for the solver to find
-    expected = optimize.brentq(
-        f,
-        lo,
-        hi,
-        xtol=0.5 * cfg.rel_tol,
-        rtol=max(0.5 * cfg.rel_tol, 4.0 * math.ulp(1.0)),
-        maxiter=_SCALAR_ITER_CAP,
-    )
-    assert solve_bracketed(f, lo, hi, cfg) == _polish(f, expected, lo, hi)
+    xtol, rtol = 0.5 * rel_tol, max(0.5 * rel_tol, 4.0 * math.ulp(1.0))
+    expected = optimize.brentq(f, lo, hi, xtol=xtol, rtol=rtol, maxiter=_SCALAR_ITER_CAP)
+    assert _brent(f, lo, hi, f(lo), f(hi), xtol, rtol, _SCALAR_ITER_CAP) == expected
+    if rel_tol == _SCALAR_REL_TOL:
+        assert solve_bracketed(f, lo, hi) == _polish(f, expected, lo, hi)
 
 
 @given(
@@ -348,11 +339,4 @@ def test_dirac_3d_iteration_cap(monkeypatch):
     assert len(excinfo.value.last_estimate) == 3
     # the per-sweep largest relative update, one entry per sweep
     assert len(excinfo.value.history) == 1
-    assert excinfo.value.history[0] > DEFAULT_CONFIG.rel_tol
-
-
-def test_solver_config_validation():
-    for bad in (0.0, -1e-12, math.nan):
-        with pytest.raises(ValueError):
-            SolverConfig(rel_tol=bad)
-    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["rel_tol"]
+    assert excinfo.value.history[0] > relbox.rootfind._SWEEP_REL_TOL

@@ -19,6 +19,7 @@ from relbox import (
     level_3d,
     spectrum_table,
 )
+import relbox.rootfind
 import relbox.spectra
 from relbox.spectra import (
     MERGE_REL_TOL,
@@ -168,9 +169,9 @@ def solved(monkeypatch):
     triples = []
     unpatched = relbox.spectra.level_3d
 
-    def recording_level_3d(model, qnums, box, cfg):
+    def recording_level_3d(model, qnums, box):
         triples.append(qnums.indices)
-        return unpatched(model, qnums, box, cfg)
+        return unpatched(model, qnums, box)
 
     monkeypatch.setattr(relbox.spectra, "level_3d", recording_level_3d)
     return triples
@@ -525,8 +526,8 @@ def test_3d_enumeration_past_the_bound_is_refused_before_any_solve(solved):
 @pytest.mark.parametrize("length", [1e170, 1e-160])
 def test_3d_count_request_with_degenerate_lower_bounds_is_refused(length):
     """At L = 1e170 every lower bound up to the lattice bound underflows to
-    0, at L = 1e-160 every one overflows (to NaN): the doubling walk cannot
-    grow, so the request is refused at once instead of looping."""
+    0, so the doubling walk cannot grow; at L = 1e-160 every one overflows.
+    Either way the request is refused at once instead of looping."""
     start = time.perf_counter()
     with pytest.raises(CapacityError):
         enumerate_levels(SpectrumRequest("kg", BoxSpec.cube(length), count=4))
@@ -541,6 +542,44 @@ def test_count_1d_beyond_float64_resolution_is_a_capacity_error(model):
     with pytest.raises(CapacityError):
         count_states(model, BoxSpec((1e300,)), 1e10)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("length", [1e-155, math.pi * 1e-154])
+@pytest.mark.parametrize("model", ["kg", "dirac"])
+def test_3d_count_with_overflowing_energies_is_not_a_silent_zero(model, length):
+    """At L = 1e-155 every |x|^2 overflows; at L = pi 1e-154 each x_i^2 is
+    1e308 but their sum overflows.  The relativistic energy
+    |x|^2 / (sqrt(|x|^2 + 1) + 1) is then NaN, although each mode's energy
+    (~5e155) lies below the cutoff: a typed error, not a count of 0.  The
+    quadratic energy overflows to +inf, above the cutoff, so 0 is right."""
+    box = BoxSpec.cube(length)
+    with pytest.raises(CapacityError):
+        count_states(model, box, 1e170)
+    assert count_states("nonrel", box, 1e170) == 0
+
+
+@pytest.mark.parametrize("model", ["kg", "dirac"])
+def test_3d_count_with_an_overflowing_cutoff_is_a_capacity_error(model):
+    """|x|^2 = T (T + 2) at T = 1e160 overflows, so no column floor can be
+    taken: a typed error, not an OverflowError."""
+    with pytest.raises(CapacityError):
+        count_states(model, BoxSpec.cube(1.0), 1e160)
+
+
+def test_level_with_an_overflowing_energy_is_refused():
+    """x = pi * 1e160 squares to inf, and the kinetic energy to NaN."""
+    with pytest.raises(ValueError):
+        level_1d("kg", 1, 1e-160)
+    with pytest.raises(CapacityError):
+        enumerate_levels(SpectrumRequest("kg", BoxSpec((1e-160,)), count=4))
+
+
+def test_dirac_3d_table_at_a_sweep_tolerance_below_float64_resolution(monkeypatch):
+    """At 1e-16 the last bit of some roots alternates between sweeps; the
+    fixed point still stops, at the first sweep that lowers no wavenumber."""
+    monkeypatch.setattr(relbox.rootfind, "_SWEEP_REL_TOL", 1e-16)
+    boxes = [(lc, BoxSpec.cube(lc)) for lc in (1.0, 2.0, 3.0, 5.0, 7.0, 10.0)]
+    assert len(spectrum_table(["dirac"], boxes, count=20)["model"]) == 120
 
 
 def test_count_1d_large_kg_is_the_closed_form_at_once():

@@ -16,15 +16,6 @@ from .core import (
     scaled_kinetic_energy,
 )
 from .errors import BracketError, CapacityError, ConvergenceError
-from .fields import (
-    BoxState,
-    FieldGrid,
-    FieldSample,
-    GridSpec,
-    conjugated_state,
-    normalization_check,
-    stationarity_residual,
-)
 from .rootfind import (
     dirac_wavenumber_1d,
     dirac_wavenumbers_3d,
@@ -45,6 +36,26 @@ from .spectra import (
 )
 
 __version__ = "0.1.0"
+
+# Names of ``relbox.fields``, the one module that needs numpy: imported on
+# first access (PEP 562), so spectra and counts start without numpy.
+_FIELDS_NAMES = frozenset({
+    "BoxState",
+    "FieldGrid",
+    "FieldSample",
+    "GridSpec",
+    "conjugated_state",
+    "normalization_check",
+    "stationarity_residual",
+})
+
+
+def __getattr__(name: str):
+    if name in _FIELDS_NAMES:
+        from . import fields
+
+        return getattr(fields, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BoxSpec",

@@ -17,11 +17,10 @@ import math
 import sys
 
 import click
-import numpy as np
 
+from . import __version__
 from .core import BoxSpec, QuantumNumbers
 from .errors import BracketError, CapacityError, ConvergenceError
-from .fields import BoxState, GridSpec, normalization_check, stationarity_residual
 from .spectra import MODELS, count_states, spectrum_table
 
 __all__ = ["cli", "main", "annotate_units"]
@@ -82,9 +81,13 @@ def _column(values, fmt: str) -> tuple[str, list | None]:
     floats by ``repr``) conversion and plain ints one ``%d``; a float64
     array whose every value has the same bits is formatted once, into a
     literal.  Any other column is formatted cell by cell into ``%s``.
+    Arrays are told apart by their ``dtype``, so that only ``field``, the
+    one command that makes them, loads numpy.
     """
     cell = _fmt if fmt == "csv" else lambda v: _json(v, 3)
-    if isinstance(values, np.ndarray):
+    if hasattr(values, "dtype"):
+        import numpy as np
+
         if fmt == "csv" or np.isfinite(values).all():
             bits = values.view(np.int64)
             if (bits == bits[0]).all():
@@ -204,6 +207,7 @@ def _run_guarded(fn):
 
 
 @click.group()
+@click.version_option(version=__version__)
 def cli():
     """Relativistic particle-in-a-box spectra, counts and wavefunctions.
 
@@ -355,6 +359,10 @@ def field(dim, n, lc, lengths, grid, conjugate, fmt, out):
     comment lines.  The grid must put more than two intervals on every
     half-wavelength (grid - 1 > 2 n_i), where the quadrature stops aliasing.
     """
+    import numpy as np
+
+    from .fields import BoxState, GridSpec, normalization_check, stationarity_residual
+
     dim = int(dim)
     if len(n) != dim:
         raise click.UsageError(f"Invalid value for '--n': need {dim} values for --dim {dim}.")

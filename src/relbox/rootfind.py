@@ -18,7 +18,7 @@ import math
 from typing import Callable
 
 from .core import BoxSpec, QuantumNumbers, dispersion
-from .errors import BracketError, ConvergenceError
+from .errors import BracketError, CapacityError, ConvergenceError
 
 __all__ = [
     "solve_bracketed",
@@ -239,6 +239,8 @@ def dirac_wavenumbers_3d(
     point to rounding in the last bits, which is where a tolerance near the
     float64 limit would otherwise leave the last bit alternating.
 
+    Raises CapacityError where the spin-0 |x|^2 overflows float64.
+
     Returns
     -------
     (x1, x2, x3, kinetic) where kinetic is recomputed from the returned
@@ -251,6 +253,10 @@ def dirac_wavenumbers_3d(
     history: list[float] = []
     for _ in range(_SWEEP_CAP):
         e_sum = dispersion("dirac", xs) + 2.0
+        if math.isnan(e_sum):  # |x|^2 overflows; sweeps only lower it, so at the start
+            raise CapacityError(
+                f"kinetic energy of indices {n} in box {lengths} overflows float64"
+            )
         roots = [_solve_axis(n[i], lengths[i], e_sum) for i in range(3)]
         rel_change = max(abs(roots[i] - xs[i]) / max(roots[i], 1e-300) for i in range(3))
         descending = any(roots[i] < xs[i] for i in range(3))

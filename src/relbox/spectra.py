@@ -17,6 +17,7 @@ with the degeneracies summed and every representative retained.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 from .core import BoxSpec, QuantumNumbers, dispersion
@@ -269,12 +270,16 @@ def _split_lattice(model: str, box: BoxSpec, threshold: float, limit: float):
     permutations.  A column's interior is every n3 up to one floor of the
     spin-0 budget left at ``threshold``; its shell goes on from there while
     lo <= limit, tested in the arithmetic enumeration uses.
+
+    An overflowing lower bound (+inf) lies above ``limit`` only where the
+    budget at ``limit`` is finite, so a ``limit`` whose budget overflows is
+    refused; ``threshold`` is below it in every caller.
     """
     lengths = box.lengths
     cube = box.is_cube
+    if _norm_sq_budget(model, limit) == math.inf:
+        raise CapacityError(f"|x|^2 at kinetic energy {limit} overflows float64")
     budget = _norm_sq_budget(model, threshold)
-    if budget == math.inf:
-        raise CapacityError(f"|x|^2 at kinetic energy {threshold} overflows float64")
     inside, shell = 0, []
     n1 = 1
     while _lower_bound(model, (n1, n1, n1) if cube else (n1, 1, 1), lengths) <= limit:
@@ -359,17 +364,15 @@ def _lower_bound(model: str, indices: tuple[int, ...], lengths) -> float:
     """Kinetic energy at the lower edge of every axis's wavenumber range:
     the energy itself for kg and nonrel, a bound below it for spin-1/2.
 
-    Raises CapacityError where |x|^2 overflows and the relativistic energy
-    comes out NaN (the quadratic one overflows to +inf, above any cutoff).
+    Where |x|^2 overflows, the relativistic energy comes out NaN and the
+    quadratic one +inf; both are +inf here.  Such a mode lies above every
+    cutoff T whose budget T (T + 2) (2 T for nonrel) is finite, and callers
+    compare the bound only with such cutoffs.
     """
     bound = dispersion(model, tuple(
         _lower_bound_wavenumber(model, n, length) for n, length in zip(indices, lengths)
     ))
-    if math.isnan(bound):
-        raise CapacityError(
-            f"kinetic energy of indices {indices} in box {tuple(lengths)} overflows float64"
-        )
-    return bound
+    return math.inf if math.isnan(bound) else bound
 
 
 def _enumerate_1d(request: SpectrumRequest) -> list[Level]:
@@ -377,8 +380,10 @@ def _enumerate_1d(request: SpectrumRequest) -> list[Level]:
     last = request.count
     if last is None:
         last = _count_1d(model, length, request.max_kinetic)
-    else:
-        _lower_bound(model, (last,), (length,))  # raises if the last energy overflows
+    elif _lower_bound(model, (last,), (length,)) == math.inf:
+        raise CapacityError(
+            f"kinetic energy of indices {(last,)} in box {(length,)} overflows float64"
+        )
     cap = DEFAULT_LATTICE_MAX_1D
     if last > cap:
         raise CapacityError(
@@ -412,7 +417,9 @@ def _enumerate_3d(request: SpectrumRequest) -> list[Level]:
     index, so the reach stays below the smallest bound of a mode with an
     index above ``DEFAULT_LATTICE_MAX_3D``, and the request raises
     CapacityError, without walking past that bound, if its
-    T (1 + MERGE_REL_TOL) reaches it.
+    T (1 + MERGE_REL_TOL) reaches it.  Where that bound overflows (+inf),
+    the reach stops instead at the largest cutoff whose |x|^2 budget is
+    finite, and a count-th level past it is refused as an overflow.
     """
     model, box = request.model, request.box
     spin = _spin_factor(model, request.spin_counting)
@@ -434,6 +441,8 @@ def _enumerate_3d(request: SpectrumRequest) -> list[Level]:
     cutoff, count = request.max_kinetic, request.count
     if count is not None:
         top = math.nextafter(bound, -math.inf)  # walks stop below every mode past the cap
+        if bound == math.inf:
+            top = sys.float_info.max / 2.0 if model == "nonrel" else math.sqrt(sys.float_info.max)
         reach = _lower_bound(model, (1, 1, 1), box.lengths)
         while True:
             reach = min(reach, top)
@@ -442,6 +451,10 @@ def _enumerate_3d(request: SpectrumRequest) -> list[Level]:
                 cutoff = levels[count - 1].kinetic * margin
                 break
             if not reach < top:
+                if bound == math.inf:
+                    raise CapacityError(
+                        f"kinetic energy of level {count} in box {box.lengths} overflows float64"
+                    )
                 cutoff = math.inf  # the count-th level lies past the bound
                 break
             reach = max(2.0 * reach, math.ulp(0.0))  # a lower bound can underflow to 0

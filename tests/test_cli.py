@@ -144,13 +144,35 @@ def test_figure_tables_match_reference_bytes(dim, fmt):
     assert result.stdout_bytes == expected
 
 
+def _run_python(code):
+    """``code`` in a fresh interpreter that imports relbox from ``src/``."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+
+
 def test_cli_import_leaves_scipy_unloaded():
     code = ("import relbox.cli, sys; assert not any("
             "m == 'scipy' or m.startswith('scipy.') for m in sys.modules)")
-    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=60)
+    done = _run_python(code)
     assert done.returncode == 0, done.stderr
+
+
+def test_spectrum_count_and_version_leave_numpy_unloaded():
+    """Only ``field`` loads numpy and ``relbox.fields``."""
+    code = (
+        "import sys\n"
+        "from relbox.cli import cli\n"
+        "for args in (['spectrum', '--dim', '3', '--levels', '4'],\n"
+        "             ['count', '--dim', '1', '--tmax', '5'], ['--version']):\n"
+        "    assert cli.main(args=args, prog_name='relbox', standalone_mode=False) in (None, 0)\n"
+        "assert 'numpy' not in sys.modules and 'relbox.fields' not in sys.modules\n"
+        "cli.main(args=['field', '--n', '1', '--lc', '1'], standalone_mode=False)\n"
+        "assert 'numpy' in sys.modules and 'relbox.fields' in sys.modules\n"
+    )
+    done = _run_python(code)
+    assert done.returncode == 0, done.stderr
+    assert "relbox, version 0.1.0\n" in done.stdout
 
 
 def test_out_file_matches_stdout(tmp_path):
@@ -295,6 +317,16 @@ def test_overflowing_energy_exit_code():
     assert result.exit_code == 4
     assert "overflows float64" in result.output
     assert "lattice bound" not in result.output
+
+
+def test_count_with_overflowing_energies_below_the_cutoff_is_zero():
+    """At L = 1e-160 every |x|^2 overflows, so every energy is above the
+    cutoff 1: counts of 0, not a refusal."""
+    result = invoke("count", "--dim", "1", "--lc", "1e-160", "--tmax", "1")
+    assert result.exit_code == 0
+    _, _, rows = parse_csv(result.output)
+    assert [(r["model"], r["count"]) for r in rows] == [("kg", "0"), ("dirac", "0"),
+                                                        ("nonrel", "0")]
 
 
 def test_tolerance_is_not_an_option():

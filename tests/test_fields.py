@@ -16,6 +16,8 @@ from relbox import (
     normalization_check,
     stationarity_residual,
 )
+import relbox
+import relbox.fields
 from relbox.fields import _simpson_weights
 
 from oracles import box_state_closed_form, simpson_integral
@@ -28,6 +30,31 @@ def sample_1d(n, box_length, position, time=0.0):
     """The nth 1D box eigenstate at one point."""
     state = BoxState(box=BoxSpec((box_length,)), qnums=QuantumNumbers((n,)))
     return state.sample((position,), time)
+
+FIELDS_NAMES = ("BoxState", "FieldGrid", "FieldSample", "GridSpec", "conjugated_state",
+                "normalization_check", "stationarity_residual")
+
+
+@pytest.mark.parametrize("name", FIELDS_NAMES)
+def test_fields_names_resolve_from_the_package(name):
+    """``relbox`` loads ``relbox.fields`` on first use of one of its names
+    and hands out the same objects; they stay in ``__all__``."""
+    assert getattr(relbox, name) is getattr(relbox.fields, name)
+    assert name in relbox.__all__
+
+
+def test_star_import_includes_the_fields_names():
+    namespace = {}
+    exec("from relbox import *", namespace)
+    assert {name: namespace[name] for name in FIELDS_NAMES} == {
+        name: getattr(relbox.fields, name) for name in FIELDS_NAMES
+    }
+
+
+def test_unknown_package_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        relbox.no_such_name  # noqa: B018
+
 
 # Positive-branch amplitude (eps + 1) / (2 sqrt(eps)) at eps = sqrt(2) and 2.
 PHI0_AT_X1 = 1.0150517651282178

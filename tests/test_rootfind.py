@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from relbox import (
     BoxSpec,
     BracketError,
+    CapacityError,
     ConvergenceError,
     QuantumNumbers,
     dirac_wavenumber_1d,
@@ -329,6 +331,16 @@ def test_dirac_3d_sweeps_descend_monotonically(log_lengths, n):
         start = n[axis] * math.pi / lengths[axis]
         sweeps = [start] + roots[axis::3]
         assert all(b <= a for a, b in zip(sweeps, sweeps[1:])), sweeps
+
+
+@pytest.mark.parametrize("length", [1e-155, math.pi / math.sqrt(sys.float_info.max / 5.5)])
+def test_dirac_3d_with_an_overflowing_spin0_start_is_a_capacity_error(length):
+    """The sweeps start from the spin-0 wavenumbers; where their |x|^2
+    overflows (at L = 1e-155 each square does, on the second cube only
+    their sum for (1, 1, 2)), the energy sum is NaN: a typed capacity
+    error, not a bracket of NaN ends reported as a convergence failure."""
+    with pytest.raises(CapacityError, match="overflows float64"):
+        dirac_wavenumbers_3d(QuantumNumbers((1, 1, 2)), BoxSpec.cube(length))
 
 
 def test_dirac_3d_iteration_cap(monkeypatch):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 import time
 
 import pytest
@@ -564,6 +565,50 @@ def test_3d_count_with_an_overflowing_cutoff_is_a_capacity_error(model):
     taken: a typed error, not an OverflowError."""
     with pytest.raises(CapacityError):
         count_states(model, BoxSpec.cube(1.0), 1e160)
+
+
+@pytest.mark.parametrize("model", ["kg", "dirac"])
+def test_count_with_overflowing_energies_below_a_finite_budget_is_zero(model):
+    """Every |x|^2 overflows, so every energy lies above ~1.3e154 and above
+    a cutoff of 1, whose budget T (T + 2) is finite: 0 states, in 1D and 3D."""
+    assert count_states(model, BoxSpec((1e-160,)), 1.0) == 0
+    assert count_states(model, BoxSpec.cube(1e-155), 1.0) == 0
+
+
+# A cube whose 4th kg level, (1, 1, 3), has |x|^2 = 11 (pi / L)^2 below the
+# float64 maximum, while 12 (pi / L)^2, reached by doubling the walk from
+# the (1, 1, 1) level, overflows it.
+_EDGE_OF_RANGE_CUBE = math.pi / math.sqrt(sys.float_info.max / 11.5)
+
+
+@pytest.mark.parametrize(
+    "model, length",
+    [("kg", 1e-152), ("dirac", 1e-152), ("kg", _EDGE_OF_RANGE_CUBE)],
+)
+def test_3d_count_request_past_an_overflowing_lattice_probe(model, length):
+    """The lattice-bound probe at index 65 overflows |x|^2, but the first
+    four levels are finite: each lies between its branch-edge bound and
+    the spin-0 energy pi |n| / L (to rounding, as |x| >> 1 there)."""
+    levels = enumerate_levels(SpectrumRequest(model, BoxSpec.cube(length), count=4))
+    assert [lv.qnums.indices for lv in levels] == [(1, 1, 1), (1, 1, 2), (1, 2, 2), (1, 1, 3)]
+    assert [lv.degeneracy for lv in levels] == [1, 3, 3, 3]
+    for level in levels:
+        n = level.qnums.indices
+        spin0 = math.pi / length * math.sqrt(sum(i * i for i in n))
+        assert math.isfinite(level.kinetic)
+        if model == "kg":
+            assert level.kinetic == pytest.approx(spin0, rel=1e-14)
+        else:
+            edge = math.pi / length * math.sqrt(sum((i - 0.5) ** 2 for i in n))
+            assert edge * (1 - 1e-14) <= level.kinetic < spin0
+
+
+def test_3d_enumeration_with_an_overflowing_budget_is_refused():
+    """With the lattice probe out of range, a cutoff whose budget T (T + 2)
+    overflows could hide modes whose |x|^2 overflows below it: refused
+    rather than truncated."""
+    with pytest.raises(CapacityError):
+        enumerate_levels(SpectrumRequest("kg", BoxSpec.cube(1e-152), max_kinetic=1e160))
 
 
 def test_level_with_an_overflowing_energy_is_refused():

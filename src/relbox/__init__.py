@@ -12,8 +12,6 @@ from .core import (
     QuantumNumbers,
     charge_conjugate,
     mode_amplitudes,
-    nonrel_kinetic_energy,
-    scaled_kinetic_energy,
 )
 from .errors import BracketError, CapacityError, ConvergenceError
 from .rootfind import (
@@ -63,8 +61,6 @@ __all__ = [
     "FVSpinor",
     "ModeAmplitudes",
     "mode_amplitudes",
-    "scaled_kinetic_energy",
-    "nonrel_kinetic_energy",
     "charge_conjugate",
     "solve_bracketed",
     "kg_wavenumber_1d",

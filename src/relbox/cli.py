@@ -3,20 +3,19 @@
 Three subcommands (``spectrum``, ``count``, ``field``) emit deterministic
 CSV or JSON.  Floats are serialized with 17 significant digits so repeated
 runs are byte-identical and values survive a parse round trip.  Exit codes:
-0 success, 2 bad usage, 3 solver failure, 4 enumeration capacity exceeded
-(for ``count``: a 3D spin-1/2 solve needed beyond the lattice bound, or a 1D
-count beyond float64 resolution; for both: a kinetic energy beyond the
-float64 range).
+0 success, 2 bad usage, 3 solver failure, 4 capacity exceeded (for
+``count``: a 3D spin-1/2 solve needed beyond the lattice bound, or a 1D count
+beyond float64 resolution; for ``spectrum`` and ``count``: a kinetic energy
+beyond the float64 range; for ``field``: a grid too large for memory).
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import json
 import math
 import sys
-
-import click
 
 from . import __version__
 from .core import BoxSpec, QuantumNumbers
@@ -133,40 +132,37 @@ def _render(table: dict, config, summary, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(table: dict, config, summary, fmt, out):
-    text = _render(table, config, summary, fmt)
-    if out is None:
-        click.echo(text, nl=False)
+def _emit(table: dict, config, summary, args) -> None:
+    text = _render(table, config, summary, args.fmt)
+    if args.out is None:
+        sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="\n") as handle:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
 
 
-def _parse_floats(ctx, param, value):
-    if value is None:
-        return None
+def _fail(code: int, message: str):
+    sys.stderr.write(f"error: {message}\n")
+    sys.exit(code)
+
+
+def _floats(text: str) -> tuple[float, ...]:
     try:
-        items = tuple(float(v) for v in value.split(","))
+        items = tuple(float(v) for v in text.split(","))
     except ValueError:
-        raise click.BadParameter(f"{value!r} is not a comma-separated float list")
-    if not items:
-        raise click.BadParameter("empty list")
-    for v in items:
-        if not (v > 0.0) or not math.isfinite(v):
-            raise click.BadParameter("entries must be positive finite numbers")
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated float list")
+    if not all(0.0 < v < math.inf for v in items):
+        raise argparse.ArgumentTypeError("entries must be positive finite numbers")
     return items
 
 
-def _parse_ints(ctx, param, value):
-    if value is None:
-        return None
+def _ints(text: str) -> tuple[int, ...]:
     try:
-        items = tuple(int(v) for v in value.split(","))
+        items = tuple(int(v) for v in text.split(","))
     except ValueError:
-        raise click.BadParameter(f"{value!r} is not a comma-separated integer list")
-    for v in items:
-        if v < 1:
-            raise click.BadParameter("entries must be integers >= 1")
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated integer list")
+    if min(items) < 1:
+        raise argparse.ArgumentTypeError("entries must be integers >= 1")
     return items
 
 
@@ -174,24 +170,25 @@ def _expand_models(model: str) -> list[str]:
     return list(MODELS) if model == "all" else [model]
 
 
-def _boxes(dim, lcs, lengths):
-    """(lc cell, BoxSpec) pairs; lc ascending when given as a list."""
-    if lengths is not None:
-        if len(lengths) != dim:
-            raise click.UsageError(
-                f"Invalid value for '--lengths': need {dim} values for --dim {dim}."
-            )
-        cell = list(lengths) if dim == 3 else lengths[0]
-        return [(cell, BoxSpec(lengths))]
-    return [(lc, BoxSpec.cube(lc, dim=dim)) for lc in sorted(set(lcs))]
+def _boxes(args, dim: int, lc) -> list:
+    """(lc cell, BoxSpec) pairs; lc ascending when given as a list.
 
-
-def _reject_lc_with_lengths(ctx, lengths) -> None:
-    explicit_lc = (
-        ctx.get_parameter_source("lc") is not click.core.ParameterSource.DEFAULT
-    )
-    if lengths is not None and explicit_lc:
-        raise click.UsageError("Set only one of '--lc' and '--lengths'.")
+    ``dim`` and ``lc`` are the command's defaults for an unset ``--dim`` and
+    ``--lc``; they are filled into ``args``, whose values the config echoes.
+    """
+    if args.lc is not None and args.lengths is not None:
+        args.error("Set only one of '--lc' and '--lengths'.")
+    args.dim = args.dim or dim
+    if args.lengths is not None:
+        if len(args.lengths) != args.dim:
+            args.error(f"Invalid value for '--lengths': need {args.dim} values "
+                       f"for --dim {args.dim}.")
+        cell = list(args.lengths) if args.dim == 3 else args.lengths[0]
+        return [(cell, BoxSpec(args.lengths))]
+    args.lc = args.lc or lc
+    if args.lc is None:
+        args.error("One of '--lc' and '--lengths' is required.")
+    return [(v, BoxSpec.cube(v, dim=args.dim)) for v in sorted(set(args.lc))]
 
 
 def _run_guarded(fn):
@@ -199,158 +196,80 @@ def _run_guarded(fn):
         return fn()
     except CapacityError as exc:
         bound = f" (lattice bound {exc.lattice_max})" if exc.lattice_max else ""
-        click.echo(f"error: {exc}{bound}", err=True)
-        sys.exit(4)
+        _fail(4, f"{exc}{bound}")
     except (ConvergenceError, BracketError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(3)
+        _fail(3, str(exc))
 
 
-@click.group()
-@click.version_option(version=__version__)
-def cli():
-    """Relativistic particle-in-a-box spectra, counts and wavefunctions.
-
-    All lengths are in units of the Compton wavelength and all energies in
-    units of the rest energy mc^2.  CSV columns are fixed per subcommand;
-    multi-valued cells are ';'-joined.
-    """
-
-
-@cli.command()
-@click.option("--dim", type=click.Choice(["1", "3"]), default="1", show_default=True)
-@click.option(
-    "--model",
-    type=click.Choice(["kg", "dirac", "nonrel", "all"]),
-    default="all",
-    show_default=True,
-)
-@click.option(
-    "--lc",
-    callback=_parse_floats,
-    default="1,10,100,300",
-    show_default=True,
-    help="Comma-separated cubic box sizes in Compton units.",
-)
-@click.option(
-    "--lengths",
-    callback=_parse_floats,
-    default=None,
-    help="Explicit per-axis box lengths (alternative to --lc).",
-)
-@click.option("--levels", type=int, default=None, help="Number of levels per box.")
-@click.option("--tmax", type=float, default=None, help="Kinetic-energy cutoff.")
-@click.option("--spin-counting", is_flag=True, help="Double spin-1/2 degeneracies.")
-@click.option(
-    "--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-    show_default=True,
-)
-@click.option("--out", type=click.Path(), default=None, help="Output path (default stdout).")
-@click.option(
-    "--preset", type=click.Choice(["electron", "pion", "none"]), default="none",
-    show_default=True, help="Annotate box sizes in physical units.",
-)
-@click.pass_context
-def spectrum(ctx, dim, model, lc, lengths, levels, tmax, spin_counting, fmt, out, preset):
+def _spectrum(args) -> None:
     """Tabulate energy levels: the data behind the comparison figures.
 
     Emits one row per (model, box, level) ordered by model (kg, dirac,
     nonrel), box size ascending, kinetic energy ascending.  The nonrel
     model appears only at the largest box size, as a reference limit.
     """
-    dim = int(dim)
-    _reject_lc_with_lengths(ctx, lengths)
+    levels, tmax = args.levels, args.tmax
     if levels is not None and tmax is not None:
-        raise click.UsageError("Set only one of '--levels' and '--tmax'.")
+        args.error("Set only one of '--levels' and '--tmax'.")
     if levels is None and tmax is None:
         levels = 4
     if levels is not None and levels < 1:
-        raise click.UsageError("Invalid value for '--levels': must be >= 1.")
+        args.error("Invalid value for '--levels': must be >= 1.")
     if tmax is not None and not (tmax > 0.0):
-        raise click.UsageError("Invalid value for '--tmax': must be > 0.")
-    boxes = _boxes(dim, lc, lengths)
-    models = _expand_models(model)
-    table = _run_guarded(lambda: spectrum_table(models, boxes, levels, tmax, spin_counting))
-    table = annotate_units(table, preset)
+        args.error("Invalid value for '--tmax': must be > 0.")
+    boxes = _boxes(args, dim=1, lc=(1.0, 10.0, 100.0, 300.0))
+    models = _expand_models(args.model)
+    table = _run_guarded(
+        lambda: spectrum_table(models, boxes, levels, tmax, args.spin_counting)
+    )
+    table = annotate_units(table, args.preset)
     config = {
         "command": "spectrum",
-        "dim": dim,
-        "model": model,
-        "lc": None if lengths is not None else sorted(set(lc)),
-        "lengths": list(lengths) if lengths is not None else None,
+        "dim": args.dim,
+        "model": args.model,
+        "lc": None if args.lengths is not None else sorted(set(args.lc)),
+        "lengths": list(args.lengths) if args.lengths is not None else None,
         "levels": levels,
         "tmax": tmax,
-        "spin_counting": spin_counting,
-        "preset": preset,
+        "spin_counting": args.spin_counting,
+        "preset": args.preset,
         "kinetic_units": "mc^2",
     }
-    _emit(table, config, {"n_rows": len(table["model"])}, fmt, out)
+    _emit(table, config, {"n_rows": len(table["model"])}, args)
 
 
-@cli.command()
-@click.option("--dim", type=click.Choice(["1", "3"]), default="3", show_default=True)
-@click.option(
-    "--model",
-    type=click.Choice(["kg", "dirac", "nonrel", "all"]),
-    default="all",
-    show_default=True,
-)
-@click.option("--lc", callback=_parse_floats, default="1", show_default=True)
-@click.option("--lengths", callback=_parse_floats, default=None)
-@click.option("--tmax", type=float, required=True, help="Kinetic-energy cutoff.")
-@click.option("--spin-counting", is_flag=True)
-@click.option(
-    "--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-    show_default=True,
-)
-@click.option("--out", type=click.Path(), default=None)
-@click.pass_context
-def count(ctx, dim, model, lc, lengths, tmax, spin_counting, fmt, out):
+def _count(args) -> None:
     """Count states with kinetic energy at or below the cutoff."""
-    dim = int(dim)
-    _reject_lc_with_lengths(ctx, lengths)
+    tmax = args.tmax
+    if tmax is None:
+        args.error("the following arguments are required: --tmax")
     if not (0.0 < tmax < math.inf):
-        raise click.UsageError("Invalid value for '--tmax': must be > 0 and finite.")
-    boxes = _boxes(dim, lc, lengths)
-    runs = [(m, cell, box) for m in _expand_models(model) for cell, box in boxes]
+        args.error("Invalid value for '--tmax': must be > 0 and finite.")
+    boxes = _boxes(args, dim=3, lc=(1.0,))
+    runs = [(m, cell, box) for m in _expand_models(args.model) for cell, box in boxes]
     counts = _run_guarded(
-        lambda: [count_states(m, box, tmax, spin_counting) for m, _, box in runs]
+        lambda: [count_states(m, box, tmax, args.spin_counting) for m, _, box in runs]
     )
     table = {
         "model": [m for m, _, _ in runs],
-        "dim": [dim] * len(runs),
+        "dim": [args.dim] * len(runs),
         "lc": [cell for _, cell, _ in runs],
         "tmax": [tmax] * len(runs),
         "count": counts,
     }
     config = {
         "command": "count",
-        "dim": dim,
-        "model": model,
-        "lc": None if lengths is not None else sorted(set(lc)),
-        "lengths": list(lengths) if lengths is not None else None,
+        "dim": args.dim,
+        "model": args.model,
+        "lc": None if args.lengths is not None else sorted(set(args.lc)),
+        "lengths": list(args.lengths) if args.lengths is not None else None,
         "tmax": tmax,
-        "spin_counting": spin_counting,
+        "spin_counting": args.spin_counting,
     }
-    _emit(table, config, {"n_rows": len(runs)}, fmt, out)
+    _emit(table, config, {"n_rows": len(runs)}, args)
 
 
-@cli.command()
-@click.option("--dim", type=click.Choice(["1", "3"]), default="1", show_default=True)
-@click.option("--n", callback=_parse_ints, required=True, help="Quantum numbers.")
-@click.option("--lc", callback=_parse_floats, default=None, help="Cubic box size.")
-@click.option("--lengths", callback=_parse_floats, default=None)
-@click.option(
-    "--grid", type=int, default=None,
-    help="Points per axis (odd; default 201 in 1D, 21 in 3D).",
-)
-@click.option("--conjugate", is_flag=True, help="Sample the charge-conjugated state.")
-@click.option(
-    "--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-    show_default=True,
-)
-@click.option("--out", type=click.Path(), default=None)
-def field(dim, n, lc, lengths, grid, conjugate, fmt, out):
+def _field(args) -> None:
     """Sample a box eigenstate: spinor, charge density and current.
 
     Emits one row per grid point (boundary included) plus a summary with
@@ -363,29 +282,26 @@ def field(dim, n, lc, lengths, grid, conjugate, fmt, out):
 
     from .fields import BoxState, GridSpec, normalization_check, stationarity_residual
 
-    dim = int(dim)
-    if len(n) != dim:
-        raise click.UsageError(f"Invalid value for '--n': need {dim} values for --dim {dim}.")
-    if lc is not None and lengths is not None:
-        raise click.UsageError("Set only one of '--lc' and '--lengths'.")
-    if lc is None and lengths is None:
-        raise click.UsageError("One of '--lc' and '--lengths' is required.")
+    n, lc, grid = args.n, args.lc, args.grid
     if lc is not None and len(lc) != 1:
-        raise click.UsageError("Invalid value for '--lc': give exactly one box size.")
+        args.error("Invalid value for '--lc': give exactly one box size.")
+    [(_, box)] = _boxes(args, dim=1, lc=None)
+    dim = args.dim
+    if len(n) != dim:
+        args.error(f"Invalid value for '--n': need {dim} values for --dim {dim}.")
     if grid is None:
         grid = 201 if dim == 1 else 21
     if grid < 3 or grid % 2 == 0:
-        raise click.UsageError("Invalid value for '--grid': need an odd count >= 3.")
+        args.error("Invalid value for '--grid': need an odd count >= 3.")
     qnums = QuantumNumbers(n)
     gridspec = GridSpec(points_per_axis=grid)
     if not gridspec.resolves(qnums):
-        raise click.UsageError(
+        args.error(
             f"Invalid value for '--grid': {grid} points leave at most two intervals "
             f"per half-wavelength of n={max(n)}, where the charge quadrature aliases; "
             f"need at least {2 * max(n) + 3}."
         )
-    box = BoxSpec(lengths) if lengths is not None else BoxSpec.cube(lc[0], dim=dim)
-    state = BoxState(box=box, qnums=qnums, conjugated=conjugate)
+    state = BoxState(box=box, qnums=qnums, conjugated=args.conjugate)
 
     def build():
         values = state.evaluate(gridspec.axes(box))
@@ -409,22 +325,99 @@ def field(dim, n, lc, lengths, grid, conjugate, fmt, out):
         }
         return table, summary
 
-    table, summary = build()
+    try:
+        table, summary = build()
+    except MemoryError as exc:
+        _fail(4, f"a grid of {grid} points per axis does not fit in memory ({exc})")
     config = {
         "command": "field",
         "dim": dim,
         "n": list(n),
         "lc": lc[0] if lc is not None else None,
-        "lengths": list(lengths) if lengths is not None else None,
+        "lengths": list(args.lengths) if args.lengths is not None else None,
         "grid": grid,
-        "conjugate": conjugate,
+        "conjugate": args.conjugate,
     }
-    _emit(table, config, summary, fmt, out)
+    _emit(table, config, summary, args)
 
 
-def main():
-    cli()
+def _parser(prog: str) -> argparse.ArgumentParser:
+    """The ``relbox`` parser.  Each command's parser sets ``run`` to the
+    command and ``error`` to its own usage-error exit (code 2)."""
 
+    def options(*parents) -> argparse.ArgumentParser:
+        """A parent parser: options that several commands share, declared once."""
+        return argparse.ArgumentParser(add_help=False, allow_abbrev=False, parents=parents)
+
+    box = options()
+    box.add_argument("--dim", type=int, choices=(1, 3),
+                     help="Box dimension (default: 3 for count, 1 otherwise).")
+    box.add_argument("--lc", type=_floats,
+                     help="Comma-separated cubic box sizes in Compton units (default: "
+                          "1,10,100,300 for spectrum, 1 for count; field takes one).")
+    box.add_argument("--lengths", type=_floats,
+                     help="Explicit per-axis box lengths (alternative to --lc).")
+    model = options(box)
+    model.add_argument("--model", choices=("kg", "dirac", "nonrel", "all"), default="all",
+                       help="Model to tabulate (default: %(default)s).")
+    model.add_argument("--tmax", type=float, help="Kinetic-energy cutoff (required by count).")
+    model.add_argument("--spin-counting", action="store_true",
+                       help="Double spin-1/2 degeneracies.")
+    output = options()
+    output.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv",
+                        help="Output format (default: %(default)s).")
+    output.add_argument("--out", help="Output path (default stdout).")
+
+    parser = argparse.ArgumentParser(
+        prog=prog, allow_abbrev=False,
+        description="Relativistic particle-in-a-box spectra, counts and wavefunctions.  "
+        "All lengths are in units of the Compton wavelength and all energies in units of "
+        "the rest energy mc^2.  CSV columns are fixed per subcommand; multi-valued cells "
+        "are ';'-joined.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    def command(name: str, run, parent) -> argparse.ArgumentParser:
+        sub = commands.add_parser(
+            name, parents=[parent, output], allow_abbrev=False,
+            help=run.__doc__.splitlines()[0], description=run.__doc__,
+        )
+        sub.set_defaults(run=run, error=sub.error)
+        return sub
+
+    spectrum = command("spectrum", _spectrum, model)
+    spectrum.add_argument("--levels", type=int, help="Number of levels per box (default: 4).")
+    spectrum.add_argument("--preset", choices=("electron", "pion", "none"), default="none",
+                          help="Annotate box sizes in physical units (default: %(default)s).")
+    command("count", _count, model)
+    field = command("field", _field, box)
+    field.add_argument("--n", type=_ints, required=True, help="Quantum numbers.")
+    field.add_argument("--grid", type=int,
+                       help="Points per axis (odd; default 201 in 1D, 21 in 3D).")
+    field.add_argument("--conjugate", action="store_true",
+                       help="Sample the charge-conjugated state.")
+    return parser
+
+
+def main(args=None, prog_name: str = "relbox", standalone_mode: bool = True) -> None:
+    """Run one ``relbox`` command line (``sys.argv[1:]`` when ``args`` is None).
+
+    Success returns None; ``--help`` and ``--version`` exit 0, usage errors
+    2, solver failures 3 and capacity refusals 4, all by ``SystemExit``.
+    ``standalone_mode`` selects nothing: it keeps the keyword call shape
+    ``cli.main(args=..., prog_name=..., standalone_mode=...)`` that in-process
+    callers such as ``perfbench/trace.py`` use.
+    """
+    namespace, unknown = _parser(prog_name).parse_known_args(args)
+    if unknown:
+        namespace.error(f"unrecognized arguments: {' '.join(unknown)}")
+    namespace.run(namespace)
+
+
+# ``relbox.cli.cli.main`` is ``main``: the name in-process callers such as
+# ``perfbench/trace.py`` call it by.
+cli = sys.modules[__name__]
 
 if __name__ == "__main__":
     main()

@@ -17,8 +17,6 @@ __all__ = [
     "FVSpinor",
     "ModeAmplitudes",
     "mode_amplitudes",
-    "scaled_kinetic_energy",
-    "nonrel_kinetic_energy",
     "charge_conjugate",
     "dispersion",
 ]
@@ -159,22 +157,6 @@ def mode_amplitudes(wavenumber: float, branch: int) -> ModeAmplitudes:
     phi0 = (branch * eps + 1.0) / denom
     chi0 = (1.0 - branch * eps) / denom
     return ModeAmplitudes(phi0=phi0, chi0=chi0, branch=branch, scaled_energy=eps)
-
-
-def scaled_kinetic_energy(wavenumber: float) -> float:
-    """Relativistic kinetic energy sqrt(x^2 + 1) - 1 in units of mc^2."""
-    if not math.isfinite(wavenumber) or wavenumber < 0.0:
-        raise ValueError(f"wavenumber must be finite and >= 0, got {wavenumber}")
-    # hypot keeps full precision for tiny x where sqrt(x^2+1)-1 ~ x^2/2
-    x2 = wavenumber * wavenumber
-    return x2 / (math.hypot(wavenumber, 1.0) + 1.0)
-
-
-def nonrel_kinetic_energy(wavenumber: float) -> float:
-    """Quadratic (non-relativistic) kinetic energy x^2 / 2 in units of mc^2."""
-    if not math.isfinite(wavenumber) or wavenumber < 0.0:
-        raise ValueError(f"wavenumber must be finite and >= 0, got {wavenumber}")
-    return 0.5 * wavenumber * wavenumber
 
 
 def dispersion(model: str, wavenumbers: tuple[float, ...]) -> float:

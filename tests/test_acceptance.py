@@ -13,7 +13,6 @@ import math
 import time
 
 import numpy as np
-from click.testing import CliRunner
 
 from relbox import (
     BoxSpec,
@@ -24,18 +23,18 @@ from relbox import (
     count_states,
     dirac_wavenumber_1d,
     dirac_wavenumbers_3d,
+    dispersion,
     enumerate_levels,
     kg_wavenumber_1d,
     level_1d,
     level_3d,
     mode_amplitudes,
     normalization_check,
-    scaled_kinetic_energy,
     stationarity_residual,
     SpectrumRequest,
 )
-from relbox.cli import cli
 
+from clirunner import invoke
 from oracles import dirac_root_1d, lattice_count, newton_wavenumbers_3d
 
 
@@ -183,7 +182,7 @@ def test_criterion_04_nonrelativistic_limit():
             gaps_3d.append(gap3)
 
             x = kg_x * math.sqrt(3.0)  # 3D ground-mode magnitude
-            kin_gap = abs(scaled_kinetic_energy(x) - 0.5 * x * x) / (0.5 * x * x)
+            kin_gap = abs(dispersion("kg", (x,)) - 0.5 * x * x) / (0.5 * x * x)
             ok &= kin_gap <= x * x / 4.0
             kin_gaps.append(kin_gap)
         for seq in (gaps_1d, gaps_3d, kin_gaps):
@@ -306,26 +305,25 @@ def test_criterion_09_density_of_states():
 
 def test_criterion_10_figure_data_regeneration():
     with _Timer() as t:
-        runner = CliRunner()
         ok = True
         for dim in ("1", "3"):
             args = [
                 "spectrum", "--dim", dim, "--model", "all",
                 "--lc", "1,10,100,300", "--levels", "4",
             ]
-            first = runner.invoke(cli, args)
-            second = runner.invoke(cli, args)
-            ok &= first.exit_code == 0 and first.output == second.output
+            first = invoke(*args)
+            second = invoke(*args)
+            ok &= first.exit_code == 0 and first.stdout == second.stdout
             data_lines = [
                 line
-                for line in first.output.splitlines()
+                for line in first.stdout.splitlines()
                 if line and not line.startswith("#")
             ]
             ok &= len(data_lines) == 37  # header + 36 rows
-            as_json = runner.invoke(cli, args + ["--format", "json"])
-            again = runner.invoke(cli, args + ["--format", "json"])
-            ok &= as_json.exit_code == 0 and as_json.output == again.output
-            ok &= len(json.loads(as_json.output)["rows"]) == 36
+            as_json = invoke(*args, "--format", "json")
+            again = invoke(*args, "--format", "json")
+            ok &= as_json.exit_code == 0 and as_json.stdout == again.stdout
+            ok &= len(json.loads(as_json.stdout)["rows"]) == 36
     ok = ok and t.elapsed < 10.0
     _report(10, ok, t.elapsed, "figure tables regenerate byte-identically")
     assert ok

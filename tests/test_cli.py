@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from relbox.cli import _fmt, _render, annotate_units, cli
@@ -17,17 +16,12 @@ from relbox.core import BoxSpec
 from relbox.errors import ConvergenceError
 from relbox.spectra import spectrum_table
 
+from clirunner import invoke
 from oracles import lattice_count
-
-runner = CliRunner()
 
 REPO = Path(__file__).resolve().parents[1]
 # Figure tables as printed by the commit that defined the benchmark.
 REFERENCE_DIR = REPO / "perfbench" / "reference"
-
-
-def invoke(*args):
-    return runner.invoke(cli, list(args))
 
 
 def _columns(rows):
@@ -56,7 +50,7 @@ def test_spectrum_default_row_count():
     result = invoke("spectrum", "--dim", "1", "--model", "all",
                     "--lc", "1,10,100,300", "--levels", "4")
     assert result.exit_code == 0
-    _, header, rows = parse_csv(result.output)
+    _, header, rows = parse_csv(result.stdout)
     assert header[:4] == ["model", "dim", "lc", "qnums"]
     assert len(rows) == 36
 
@@ -65,7 +59,7 @@ def test_spectrum_3d_representatives():
     result = invoke("spectrum", "--dim", "3", "--model", "kg", "--lc", "300",
                     "--levels", "4")
     assert result.exit_code == 0
-    _, _, rows = parse_csv(result.output)
+    _, _, rows = parse_csv(result.stdout)
     assert [r["qnums"] for r in rows] == ["1;1;1", "1;1;2", "1;2;2", "1;1;3"]
     assert [r["degeneracy"] for r in rows] == ["1", "3", "3", "3"]
 
@@ -73,7 +67,7 @@ def test_spectrum_3d_representatives():
 def test_spectrum_rejects_zero_box():
     result = invoke("spectrum", "--dim", "1", "--model", "kg", "--lc", "0")
     assert result.exit_code == 2
-    assert "--lc" in result.output
+    assert "--lc" in result.stderr
 
 
 def test_spectrum_rejects_levels_and_tmax_together():
@@ -84,7 +78,7 @@ def test_spectrum_rejects_levels_and_tmax_together():
 def test_explicit_lc_conflicts_with_lengths():
     result = invoke("spectrum", "--dim", "3", "--lc", "1", "--lengths", "1,2,4")
     assert result.exit_code == 2
-    assert "--lengths" in result.output
+    assert "--lengths" in result.stderr
     result = invoke("count", "--dim", "3", "--lc", "1", "--lengths", "1,1,1",
                     "--tmax", "1")
     assert result.exit_code == 2
@@ -102,14 +96,14 @@ def test_runs_are_deterministic():
         first = invoke(*args)
         second = invoke(*args)
         assert first.exit_code == 0
-        assert first.output == second.output
+        assert first.stdout == second.stdout
 
 
 def test_csv_and_json_carry_identical_values():
     args = ("spectrum", "--dim", "3", "--model", "all", "--lc", "1,300",
             "--levels", "3")
-    csv_out = invoke(*args).output
-    json_out = invoke(*args, "--format", "json").output
+    csv_out = invoke(*args).stdout
+    json_out = invoke(*args, "--format", "json").stdout
     _, _, csv_rows = parse_csv(csv_out)
     json_rows = json.loads(json_out)["rows"]
     assert len(csv_rows) == len(json_rows)
@@ -126,7 +120,7 @@ def test_csv_and_json_carry_identical_values():
 def test_json_round_trip_matches_library_table():
     result = invoke("spectrum", "--dim", "1", "--model", "all",
                     "--lc", "1,10,100,300", "--levels", "4", "--format", "json")
-    payload = json.loads(result.output)
+    payload = json.loads(result.stdout)
     boxes = [(lc, BoxSpec.cube(lc, dim=1)) for lc in (1.0, 10.0, 100.0, 300.0)]
     expected = spectrum_table(["kg", "dirac", "nonrel"], boxes, count=4)
     assert _columns(payload["rows"]) == expected
@@ -144,40 +138,88 @@ def test_figure_tables_match_reference_bytes(dim, fmt):
     assert result.stdout_bytes == expected
 
 
-def _run_python(code):
-    """``code`` in a fresh interpreter that imports relbox from ``src/``."""
+def _run_python(*args):
+    """A fresh interpreter, run with ``args``, that imports relbox from ``src/``."""
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=60)
 
 
 def test_cli_import_leaves_scipy_unloaded():
+    """Neither scipy nor click is imported with the CLI."""
     code = ("import relbox.cli, sys; assert not any("
-            "m == 'scipy' or m.startswith('scipy.') for m in sys.modules)")
-    done = _run_python(code)
+            "m.partition('.')[0] in ('scipy', 'click') for m in sys.modules)")
+    done = _run_python("-c", code)
     assert done.returncode == 0, done.stderr
 
 
 def test_spectrum_count_and_version_leave_numpy_unloaded():
-    """Only ``field`` loads numpy and ``relbox.fields``."""
+    """Only ``field`` loads numpy and ``relbox.fields``; no command needs click."""
     code = (
         "import sys\n"
+        "sys.modules['click'] = None  # any import of click now fails\n"
         "from relbox.cli import cli\n"
+        "def run(args):\n"
+        "    try:\n"
+        "        return cli.main(args=args, prog_name='relbox', standalone_mode=False)\n"
+        "    except SystemExit as exc:\n"
+        "        return exc.code\n"
         "for args in (['spectrum', '--dim', '3', '--levels', '4'],\n"
         "             ['count', '--dim', '1', '--tmax', '5'], ['--version']):\n"
-        "    assert cli.main(args=args, prog_name='relbox', standalone_mode=False) in (None, 0)\n"
+        "    assert run(args) in (None, 0)\n"
         "assert 'numpy' not in sys.modules and 'relbox.fields' not in sys.modules\n"
-        "cli.main(args=['field', '--n', '1', '--lc', '1'], standalone_mode=False)\n"
+        "assert run(['field', '--n', '1', '--lc', '1']) is None\n"
         "assert 'numpy' in sys.modules and 'relbox.fields' in sys.modules\n"
+        "print('all commands ran')\n"
     )
-    done = _run_python(code)
+    done = _run_python("-c", code)
     assert done.returncode == 0, done.stderr
     assert "relbox, version 0.1.0\n" in done.stdout
+    assert done.stdout.endswith("all commands ran\n")
+
+
+# Every option of each command, as its --help must name it.
+COMMAND_OPTIONS = {
+    "spectrum": ("--dim", "--model", "--lc", "--lengths", "--levels", "--tmax",
+                 "--spin-counting", "--format", "--out", "--preset"),
+    "count": ("--dim", "--model", "--lc", "--lengths", "--tmax", "--spin-counting",
+              "--format", "--out"),
+    "field": ("--dim", "--n", "--lc", "--lengths", "--grid", "--conjugate", "--format",
+              "--out"),
+}
+
+
+def test_help_names_every_command_and_option():
+    result = invoke("--help")
+    assert result.exit_code == 0
+    assert all(name in result.stdout for name in ("--version", *COMMAND_OPTIONS))
+    for command, options in COMMAND_OPTIONS.items():
+        result = invoke(command, "--help")
+        assert result.exit_code == 0, result.stderr
+        assert result.stdout.startswith(f"usage: relbox {command} ")
+        missing = [option for option in options if f" {option} " not in result.stdout]
+        assert not missing, f"{command} --help omits {missing}"
+
+
+def test_usage_errors_exit_2():
+    """No command, an unknown command, or an abbreviated option is bad usage."""
+    for args in ((), ("plot",), ("spectrum", "--lev", "3"), ("count", "--tm", "5"),
+                 ("field", "--n", "1", "--lc", "1", "--gr", "9"), ("--vers",)):
+        result = invoke(*args)
+        assert result.exit_code == 2, args
+        assert result.stdout == ""
+        assert "error:" in result.stderr
+
+
+def test_version_names_the_program():
+    """``python -m relbox`` is the ``relbox`` program, not ``python -m relbox``."""
+    done = _run_python("-m", "relbox", "--version")
+    assert (done.returncode, done.stdout) == (0, "relbox, version 0.1.0\n")
 
 
 def test_out_file_matches_stdout(tmp_path):
     args = ("spectrum", "--dim", "1", "--lc", "1", "--levels", "2")
-    stdout_text = invoke(*args).output
+    stdout_text = invoke(*args).stdout
     target = tmp_path / "table.csv"
     result = invoke(*args, "--out", str(target))
     assert result.exit_code == 0
@@ -186,7 +228,7 @@ def test_out_file_matches_stdout(tmp_path):
 
 def test_field_boundary_rows_are_zero():
     result = invoke("field", "--dim", "1", "--n", "3", "--lc", "2", "--grid", "9")
-    summary, _, rows = parse_csv(result.output)
+    summary, _, rows = parse_csv(result.stdout)
     field_columns = ["re_phi", "im_phi", "re_chi", "im_chi", "rho", "j_x"]
     for boundary in (rows[0], rows[-1]):
         assert all(boundary[c] == "0" for c in field_columns)
@@ -196,19 +238,19 @@ def test_field_boundary_rows_are_zero():
 def test_field_summary_normalization():
     result = invoke("field", "--dim", "1", "--n", "1", "--lc", "1", "--grid", "201",
                     "--format", "json")
-    payload = json.loads(result.output)
+    payload = json.loads(result.stdout)
     assert abs(payload["summary"]["normalization"] - 1.0) <= 1e-8
     assert payload["summary"]["max_abs_current"] <= 1e-12
 
     conj = invoke("field", "--dim", "1", "--n", "1", "--lc", "1", "--grid", "201",
                   "--conjugate", "--format", "json")
-    assert abs(json.loads(conj.output)["summary"]["normalization"] + 1.0) <= 1e-8
+    assert abs(json.loads(conj.stdout)["summary"]["normalization"] + 1.0) <= 1e-8
 
 
 def test_field_3d_rows():
     result = invoke("field", "--dim", "3", "--n", "1,1,2", "--lc", "1",
                     "--grid", "7", "--format", "json")
-    payload = json.loads(result.output)
+    payload = json.loads(result.stdout)
     assert len(payload["rows"]) == 343
     assert abs(payload["summary"]["max_abs_current"]) <= 1e-12
 
@@ -219,14 +261,14 @@ def test_field_rejects_aliasing_grid(dim, n, grid):
     # at most two intervals per half-wavelength: Simpson gives 4/3, ~0, 4/3
     result = invoke("field", "--dim", dim, "--n", n, "--lc", "1", "--grid", grid)
     assert result.exit_code == 2
-    assert "half-wavelength" in result.output
+    assert "half-wavelength" in result.stderr
 
 
 def test_field_accepts_grid_just_above_aliasing():
     result = invoke("field", "--dim", "1", "--n", "99", "--lc", "1", "--grid", "201",
                     "--format", "json")
     assert result.exit_code == 0
-    assert abs(json.loads(result.output)["summary"]["normalization"] - 1.0) <= 1e-12
+    assert abs(json.loads(result.stdout)["summary"]["normalization"] - 1.0) <= 1e-12
 
 
 def test_field_large_wavenumber_runs():
@@ -235,15 +277,15 @@ def test_field_large_wavenumber_runs():
     # the quadrature must not depend on that difference
     result = invoke("field", "--dim", "1", "--n", "10000", "--lc", "0.001",
                     "--grid", "40001", "--format", "json")
-    assert result.exit_code == 0, result.output
-    assert abs(json.loads(result.output)["summary"]["normalization"] - 1.0) <= 1e-12
+    assert result.exit_code == 0, result.stderr
+    assert abs(json.loads(result.stdout)["summary"]["normalization"] - 1.0) <= 1e-12
 
 
 def test_field_prints_no_negative_zero():
     for fmt in ("csv", "json"):
         result = invoke("field", "--dim", "3", "--n", "1,2,1", "--lc", "1", "--grid", "9",
                         "--format", fmt)
-        cells = result.output.replace(",", " ").replace("\n", " ").split()
+        cells = result.stdout.replace(",", " ").replace("\n", " ").split()
         assert "-0" not in cells and "-0.0" not in cells
 
 
@@ -257,21 +299,21 @@ def test_field_validation_errors():
 def test_count_matches_oracle():
     result = invoke("count", "--dim", "3", "--model", "kg", "--lc", "0.5",
                     "--tmax", "17.3", "--format", "json")
-    payload = json.loads(result.output)
+    payload = json.loads(result.stdout)
     assert payload["rows"][0]["count"] == lattice_count((0.5,) * 3, 17.3, 10)
 
 
 def test_count_dirac_dominates_kg():
     result = invoke("count", "--dim", "3", "--model", "all", "--lc", "0.5",
                     "--tmax", "25", "--format", "json")
-    rows = {r["model"]: r["count"] for r in json.loads(result.output)["rows"]}
+    rows = {r["model"]: r["count"] for r in json.loads(result.stdout)["rows"]}
     assert rows["dirac"] >= rows["kg"]
 
 
 def test_count_below_ground_level_is_zero():
     result = invoke("count", "--dim", "3", "--model", "all", "--lc", "300",
                     "--tmax", "1e-6", "--format", "json")
-    assert all(r["count"] == 0 for r in json.loads(result.output)["rows"])
+    assert all(r["count"] == 0 for r in json.loads(result.stdout)["rows"])
 
 
 def test_count_1d_kg_beyond_the_enumeration_bound_is_the_closed_form():
@@ -280,7 +322,7 @@ def test_count_1d_kg_beyond_the_enumeration_bound_is_the_closed_form():
                     "--tmax", "1000", "--format", "json")
     assert result.exit_code == 0
     closed_form = math.floor(1000.0 * math.sqrt(1000.0 * 1002.0) / math.pi)
-    assert json.loads(result.output)["rows"][0]["count"] == closed_form == 318628
+    assert json.loads(result.stdout)["rows"][0]["count"] == closed_form == 318628
 
 
 def test_count_3d_kg_beyond_the_enumeration_bound():
@@ -288,26 +330,26 @@ def test_count_3d_kg_beyond_the_enumeration_bound():
     result = invoke("count", "--dim", "3", "--model", "kg", "--lc", "1",
                     "--tmax", "1000", "--format", "json")
     assert result.exit_code == 0
-    assert json.loads(result.output)["rows"][0]["count"] == 16817874
+    assert json.loads(result.stdout)["rows"][0]["count"] == 16817874
 
 
 def test_count_rejects_an_infinite_cutoff():
     result = invoke("count", "--dim", "3", "--model", "kg", "--tmax", "inf")
     assert result.exit_code == 2
-    assert "finite" in result.output
+    assert "finite" in result.stderr
 
 
 def test_count_capacity_exit_code_only_for_spin_half_shell_solves():
     result = invoke("count", "--dim", "3", "--model", "dirac", "--lc", "1",
                     "--tmax", "300")
     assert result.exit_code == 4
-    assert "lattice bound" in result.output
+    assert "lattice bound" in result.stderr
 
 
 def test_count_1d_beyond_float64_resolution_exit_code():
     result = invoke("count", "--dim", "1", "--lc", "1e300", "--tmax", "1e10")
     assert result.exit_code == 4
-    assert "float64" in result.output
+    assert "float64" in result.stderr
 
 
 def test_overflowing_energy_exit_code():
@@ -315,8 +357,8 @@ def test_overflowing_energy_exit_code():
     a table of NaN rows."""
     result = invoke("spectrum", "--dim", "1", "--model", "kg", "--lc", "1e-160")
     assert result.exit_code == 4
-    assert "overflows float64" in result.output
-    assert "lattice bound" not in result.output
+    assert "overflows float64" in result.stderr
+    assert "lattice bound" not in result.stderr
 
 
 def test_count_with_overflowing_energies_below_the_cutoff_is_zero():
@@ -324,7 +366,7 @@ def test_count_with_overflowing_energies_below_the_cutoff_is_zero():
     cutoff 1: counts of 0, not a refusal."""
     result = invoke("count", "--dim", "1", "--lc", "1e-160", "--tmax", "1")
     assert result.exit_code == 0
-    _, _, rows = parse_csv(result.output)
+    _, _, rows = parse_csv(result.stdout)
     assert [(r["model"], r["count"]) for r in rows] == [("kg", "0"), ("dirac", "0"),
                                                         ("nonrel", "0")]
 
@@ -334,24 +376,55 @@ def test_tolerance_is_not_an_option():
     for command in ("spectrum", "count"):
         result = invoke(command, "--tmax", "1", "--tol", "1e-12")
         assert result.exit_code == 2
-        assert "--tol" in result.output
+        assert "--tol" in result.stderr
 
 
 def test_capacity_exit_code():
     result = invoke("spectrum", "--dim", "3", "--model", "kg", "--lc", "1",
                     "--tmax", "1000")
     assert result.exit_code == 4
-    assert "lattice bound" in result.output
+    assert "lattice bound" in result.stderr
+
+
+def _no_convergence(*args, **kwargs):
+    raise ConvergenceError("no convergence for indices (1, 1, 1)", iterations=500)
+
+
+def test_field_grid_beyond_memory_exit_code():
+    """A grid of 1e14 + 1 points needs 800 TB, more than any address space:
+    numpy refuses the allocation at once, and the command exits 4."""
+    result = invoke("field", "--dim", "1", "--n", "1", "--lc", "1",
+                    "--grid", "100000000000001")
+    assert result.exit_code == 4
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "100000000000001" in result.stderr
 
 
 def test_solver_failure_exit_code(monkeypatch):
-    def boom(*args, **kwargs):
-        raise ConvergenceError("no convergence for indices (1, 1, 1)", iterations=500)
-
-    monkeypatch.setattr("relbox.spectra.enumerate_levels", boom)
+    monkeypatch.setattr("relbox.spectra.enumerate_levels", _no_convergence)
     result = invoke("spectrum", "--dim", "3", "--model", "dirac", "--lc", "1")
     assert result.exit_code == 3
-    assert "(1, 1, 1)" in result.output
+    assert "(1, 1, 1)" in result.stderr
+
+
+def test_main_raises_every_failure_exit(monkeypatch, capsys):
+    """``cli.main`` returns None on success and raises ``SystemExit`` with the
+    failure code otherwise: in-process callers see every failure raised."""
+
+    def exit_code(*args):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args=list(args), prog_name="relbox", standalone_mode=False)
+        return exc.value.code
+
+    assert cli.main(args=["count", "--dim", "1", "--tmax", "5"], prog_name="relbox",
+                    standalone_mode=False) is None
+    assert exit_code("spectrum", "--lev", "3") == 2
+    assert exit_code("spectrum", "--dim", "3", "--model", "kg", "--lc", "1",
+                     "--tmax", "1000") == 4
+    monkeypatch.setattr("relbox.spectra.enumerate_levels", _no_convergence)
+    assert exit_code("spectrum", "--dim", "3", "--model", "dirac", "--lc", "1") == 3
+    assert "no convergence" in capsys.readouterr().err
 
 
 def test_annotate_units_electron_matches_quoted_size():
@@ -377,19 +450,19 @@ def test_annotate_units_none_is_identity():
 def test_preset_flag_adds_column():
     result = invoke("spectrum", "--dim", "1", "--model", "kg", "--lc", "300",
                     "--levels", "1", "--preset", "electron", "--format", "json")
-    row = json.loads(result.output)["rows"][0]
+    row = json.loads(result.stdout)["rows"][0]
     assert row["box_angstrom"] == pytest.approx(1.158, rel=1e-12)
 
 
 def test_preset_annotates_each_axis_of_explicit_lengths():
     args = ("spectrum", "--dim", "3", "--lengths", "1,2,4", "--preset", "electron",
             "--levels", "2")
-    rows = json.loads(invoke(*args, "--format", "json").output)["rows"]
+    rows = json.loads(invoke(*args, "--format", "json").stdout)["rows"]
     assert rows
     for row in rows:
         assert row["lc"] == [1.0, 2.0, 4.0]
         assert row["box_angstrom"] == [v * 3.86e-3 for v in (1.0, 2.0, 4.0)]
-    _, header, csv_rows = parse_csv(invoke(*args).output)
+    _, header, csv_rows = parse_csv(invoke(*args).stdout)
     assert header[-1] == "box_angstrom"
     cell = ";".join(f"{v * 3.86e-3:.17g}" for v in (1.0, 2.0, 4.0))
     assert [r["box_angstrom"] for r in csv_rows] == [cell] * len(rows)

@@ -13,8 +13,6 @@ from relbox import (
     charge_conjugate,
     dispersion,
     mode_amplitudes,
-    nonrel_kinetic_energy,
-    scaled_kinetic_energy,
 )
 
 # Direct high-precision evaluation of the amplitude formulas at
@@ -95,17 +93,17 @@ def test_mode_amplitudes_branch_validation():
 
 
 def test_scaled_kinetic_small_values():
-    assert scaled_kinetic_energy(0.0) == 0.0
-    assert scaled_kinetic_energy(math.sqrt(3.0)) == pytest.approx(1.0, abs=5e-16)
+    assert dispersion("kg", (0.0,)) == 0.0
+    assert dispersion("kg", (math.sqrt(3.0),)) == pytest.approx(1.0, abs=5e-16)
     # direct formula value, cross-checked against the x^2/2 - x^4/8 expansion
-    assert scaled_kinetic_energy(math.pi / 300) == pytest.approx(
+    assert dispersion("kg", (math.pi / 300,)) == pytest.approx(
         5.4829632417312039e-05, rel=1e-13
     )
 
 
 def test_nonrel_kinetic_values():
-    assert nonrel_kinetic_energy(0.0) == 0.0
-    assert nonrel_kinetic_energy(math.pi / 300) == pytest.approx(
+    assert dispersion("nonrel", (0.0,)) == 0.0
+    assert dispersion("nonrel", (math.pi / 300,)) == pytest.approx(
         5.4831135561607548e-05, rel=1e-15
     )
 
@@ -115,19 +113,13 @@ def test_nonrel_kinetic_values():
     st.floats(min_value=1e-12, max_value=50.0),
 )
 def test_scaled_kinetic_strictly_increasing(x, dx):
-    assert scaled_kinetic_energy(x) < scaled_kinetic_energy(x + dx)
+    assert dispersion("kg", (x,)) < dispersion("kg", (x + dx,))
 
 
 @given(st.floats(min_value=0.0, max_value=0.5))
 def test_taylor_remainder_bound(x):
-    gap = abs(scaled_kinetic_energy(x) - nonrel_kinetic_energy(x))
+    gap = abs(dispersion("kg", (x,)) - dispersion("nonrel", (x,)))
     assert gap <= x**4 / 8.0 + 1e-17
-
-
-@pytest.mark.parametrize("fn", [scaled_kinetic_energy, nonrel_kinetic_energy])
-def test_kinetic_domain_errors(fn):
-    with pytest.raises(ValueError):
-        fn(-0.5)
 
 
 def test_charge_conjugate_swaps_and_conjugates():

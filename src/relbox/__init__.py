@@ -13,13 +13,12 @@ from .core import (
     charge_conjugate,
     mode_amplitudes,
 )
-from .errors import BracketError, CapacityError, ConvergenceError
+from .errors import CapacityError, ConvergenceError
 from .rootfind import (
     dirac_wavenumber_1d,
     dirac_wavenumbers_3d,
     kg_wavenumber_1d,
     kg_wavenumbers_3d,
-    solve_bracketed,
 )
 from .spectra import (
     MODELS,
@@ -62,7 +61,6 @@ __all__ = [
     "ModeAmplitudes",
     "mode_amplitudes",
     "charge_conjugate",
-    "solve_bracketed",
     "kg_wavenumber_1d",
     "dirac_wavenumber_1d",
     "kg_wavenumbers_3d",
@@ -83,7 +81,6 @@ __all__ = [
     "conjugated_state",
     "normalization_check",
     "stationarity_residual",
-    "BracketError",
     "ConvergenceError",
     "CapacityError",
     "__version__",

@@ -19,7 +19,7 @@ import sys
 
 from . import __version__
 from .core import BoxSpec, QuantumNumbers
-from .errors import BracketError, CapacityError, ConvergenceError
+from .errors import CapacityError, ConvergenceError
 from .spectra import MODELS, count_states, spectrum_table
 
 __all__ = ["cli", "main", "annotate_units"]
@@ -197,7 +197,7 @@ def _run_guarded(fn):
     except CapacityError as exc:
         bound = f" (lattice bound {exc.lattice_max})" if exc.lattice_max else ""
         _fail(4, f"{exc}{bound}")
-    except (ConvergenceError, BracketError) as exc:
+    except ConvergenceError as exc:
         _fail(3, str(exc))
 
 

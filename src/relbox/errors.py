@@ -2,11 +2,7 @@
 
 from __future__ import annotations
 
-__all__ = ["BracketError", "ConvergenceError", "CapacityError"]
-
-
-class BracketError(ValueError):
-    """No sign change found on the interval handed to a bracketed solve."""
+__all__ = ["ConvergenceError", "CapacityError"]
 
 
 class ConvergenceError(RuntimeError):

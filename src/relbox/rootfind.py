@@ -3,10 +3,10 @@
 The spin-1/2 box quantization replaces the node-at-the-wall rule by
 transcendental equations: in 1D a single tangent equation per level, in 3D a
 set of three coupled tangent equations sharing the total kinetic energy.
-This module provides a bracketed scalar solver (Brent's method) plus the 1D
-and 3D wavenumber solvers built on top of it.  Each wavenumber is solved in
-the pole-free (smooth) form of its equation, whose sign changes exactly once
-on the branch [(n - 1/2) pi, n pi], and polished on the tangent form.
+Each of them is solved for the offset delta = n pi - y of its root y = x L
+from the top of the branch [(n - 1/2) pi, n pi], in the one reduced form
+delta = c atan((n pi - delta) / s), by a monotone Newton iteration, and
+polished on the tangent form.
 
 All wavenumbers are dimensionless (k * lambda_C) and all box lengths are in
 Compton units; see :mod:`relbox.core`.
@@ -18,129 +18,29 @@ import math
 from typing import Callable
 
 from .core import BoxSpec, QuantumNumbers, dispersion
-from .errors import BracketError, CapacityError, ConvergenceError
+from .errors import CapacityError, ConvergenceError
 
 __all__ = [
-    "solve_bracketed",
     "kg_wavenumber_1d",
     "dirac_wavenumber_1d",
     "kg_wavenumbers_3d",
     "dirac_wavenumbers_3d",
 ]
 
-_EPS = math.ulp(1.0)
-
-# Relative tolerance of every scalar solve, at the float64 limit; the tangent
-# equations are stiff near the poles, so anything looser leaks into the
-# transcendental residual.
-_SCALAR_REL_TOL = 2e-15
-
 # Largest relative update at which the 3D fixed point stops.  The figure
 # tables are tied to this value: tightening it moves their last digits.
 _SWEEP_REL_TOL = 1e-12
 
-# Iteration caps: Brent steps per scalar solve, sweeps per 3D fixed point.
+# Iteration caps: Newton steps per scalar solve, sweeps per 3D fixed point.
 _SCALAR_ITER_CAP = 200
 _SWEEP_CAP = 500
 
 
-def solve_bracketed(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of ``f`` on [lo, hi], to the float64 limit.
-
-    Uses Brent's method (inverse-quadratic/secant steps with a bisection
-    fallback) at relative tolerance ``_SCALAR_REL_TOL``, then nudges the
-    result over neighbouring floats to minimise |f|.  The result never
-    leaves [lo, hi] and is within ``_SCALAR_REL_TOL * max(1, |root|)`` of
-    the true root.
-
-    Raises
-    ------
-    BracketError
-        If f(lo) and f(hi) do not straddle zero.
-    ConvergenceError
-        If the iteration cap is hit, or ``f`` returns NaN; carries the last
-        iterate.
-    """
-    if not (lo < hi):
-        raise BracketError(f"empty bracket [{lo}, {hi}]")
-    flo, fhi = f(lo), f(hi)
-    if math.isnan(flo) or math.isnan(fhi):
-        raise ConvergenceError(f"f is NaN at an end of [{lo}, {hi}]")
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
-        raise BracketError(
-            f"no sign change on [{lo}, {hi}]: f(lo)={flo:.3g}, f(hi)={fhi:.3g}"
-        )
-    xtol = 0.5 * _SCALAR_REL_TOL
-    rtol = max(0.5 * _SCALAR_REL_TOL, 4.0 * _EPS)
-    root = _brent(f, lo, hi, flo, fhi, xtol, rtol, _SCALAR_ITER_CAP)
-    return _polish(f, float(root), lo, hi)
-
-
-def _brent(f, xpre, xcur, fpre, fcur, xtol, rtol, maxiter):
-    """Brent's method (Brent 1973, ch. 4) on a sign-changing bracket.
-
-    Step for step the C routine ``brentq`` of SciPy: the same bracket
-    bookkeeping, tolerance ``delta = (xtol + rtol |x|) / 2`` and
-    interpolate / extrapolate / bisect tests, so in IEEE double arithmetic
-    it returns the same float.  A zero division, which yields inf or NaN
-    in C, takes the bisection step there too.
-    """
-    xblk = fblk = spre = scur = 0.0
-    for iteration in range(1, maxiter + 1):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (
-                        dblk * dpre * (fblk - fpre)
-                    )
-            except ZeroDivisionError:
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-        if math.isnan(fcur):
-            raise ConvergenceError(
-                f"f is NaN at x={xcur}", last_estimate=xpre, iterations=iteration
-            )
-    raise ConvergenceError(
-        f"scalar solve did not converge in {maxiter} iterations",
-        last_estimate=float(xcur),
-        iterations=maxiter,
-    )
-
-
 def _polish(f: Callable[[float], float], root: float, lo: float, hi: float) -> float:
-    """Pick the neighbouring float with the smallest |f|, staying in [lo, hi]."""
+    """Pick the float within 2 ulp of ``root`` with the smallest |f|, staying
+    in [lo, hi].  ``root`` is moved into [lo, hi] first: near the pole end,
+    n pi - delta can round to a float just below (n - 1/2) pi."""
+    root = min(max(root, lo), hi)
     candidates = [root]
     up = down = root
     for _ in range(2):
@@ -156,20 +56,33 @@ def _polish(f: Callable[[float], float], root: float, lo: float, hi: float) -> f
     return best
 
 
-def _solve_branch(
-    g: Callable[[float], float], f: Callable[[float], float], n: int
-) -> float:
-    """Root in the nth branch [(n - 1/2) pi, n pi] of the smooth form ``g``,
-    polished on the tangent form ``f`` (same roots, with poles).
+def _solve_branch(f: Callable[[float], float], n: int, c: float, s: float) -> float:
+    """Root y in the nth branch [(n - 1/2) pi, n pi] of the tangent form ``f``
+    whose offset delta = n pi - y solves delta = c atan((n pi - delta) / s).
 
-    ``g`` is continuous on the branch and changes sign there exactly once,
-    so its end points bracket the root.  ``BracketError`` is raised only when
-    the root is within half an ulp of the tangent pole at the lower end,
-    which the float nearest (n - 1/2) pi may then overshoot.
+    h(delta) = delta - c atan((n pi - delta) / s) is increasing and convex,
+    so Newton's method started at delta = c atan(n pi / s), right of the
+    root, descends monotonically onto it and stops at the first step that
+    lowers nothing.  delta keeps its full relative precision however far
+    below ulp(n pi) it lies, so large-box roots next to n pi solve like any
+    other.  y = n pi - delta is then polished on ``f``, which picks the
+    returned float.
     """
-    lo, hi = (n - 0.5) * math.pi, n * math.pi
-    root = solve_bracketed(g, lo, hi)
-    return _polish(f, root, lo, hi)
+    n_pi = n * math.pi
+    delta = c * math.atan(n_pi / s)
+    for _ in range(_SCALAR_ITER_CAP):
+        w = n_pi - delta
+        u = w / s
+        # h'(delta) = 1 + c / (s (1 + u^2)), with s u^2 = w u
+        lower = delta - (delta - c * math.atan(u)) / (1.0 + c / (s + w * u))
+        if not lower < delta:
+            return _polish(f, w, (n - 0.5) * math.pi, n_pi)
+        delta = lower
+    raise ConvergenceError(
+        f"scalar solve in branch {n} did not converge in {_SCALAR_ITER_CAP} iterations",
+        last_estimate=n_pi - delta,
+        iterations=_SCALAR_ITER_CAP,
+    )
 
 
 def kg_wavenumber_1d(n: int, box_length: float) -> float:
@@ -182,18 +95,15 @@ def dirac_wavenumber_1d(n: int, box_length: float) -> float:
     """nth spin-1/2 box wavenumber: root of tan(y) = -y / L with y = x L.
 
     The root lies in ((n - 1/2) pi, n pi), strictly below the spin-0 value
-    n pi / L, and approaches it as the box grows.  It is solved as the zero
-    of L sin(y) + y cos(y), which has no poles.
+    n pi / L, and approaches it as the box grows.  Its offset from the top
+    of the branch solves delta = atan((n pi - delta) / L).
     """
     _check_1d_args(n, box_length)
-
-    def g(y: float) -> float:
-        return box_length * math.sin(y) + y * math.cos(y)
 
     def f(y: float) -> float:
         return math.tan(y) + y / box_length
 
-    return _solve_branch(g, f, n) / box_length
+    return _solve_branch(f, n, 1.0, box_length) / box_length
 
 
 def _check_1d_args(n: int, box_length: float) -> None:
@@ -222,12 +132,12 @@ def dirac_wavenumbers_3d(
 
     with the shared kinetic energy T = sqrt(|x|^2 + 1) - 1.  Starting from
     the spin-0 wavenumbers, the solver alternates between recomputing T and
-    re-solving each axis inside its branch, in the pole-free form
-    sin(y) (x^2 - e^2) - 2 e x cos(y) with e = T + 2, until the largest
-    relative update drops below ``_SWEEP_REL_TOL`` (1e-12) or a sweep lowers
-    no wavenumber.  Stopping at 1e-12 leaves the last few digits unconverged:
-    a returned wavenumber can sit up to about 5e-13 relative from the
-    coupled root.
+    re-solving each axis inside its branch for the offset
+    delta = 2 atan(x / e) of y = x L from n pi, with e = T + 2, until the
+    largest relative update drops below ``_SWEEP_REL_TOL`` (1e-12) or a sweep
+    lowers no wavenumber.  Stopping at 1e-12 leaves the last few digits
+    unconverged: a returned wavenumber can sit up to about 5e-13 relative
+    from the coupled root.
 
     The sweeps descend monotonically.  On the branch tan(xL) rises with x
     while the right-hand side falls with x and rises with e (its e-derivative
@@ -276,19 +186,15 @@ def dirac_wavenumbers_3d(
 def _solve_axis(n_i: int, length: float, e_sum: float) -> float:
     """One scalar sub-solve of the coupled system at fixed energy sum.
 
-    Where x >= e_sum both terms of the smooth form take the sign of sin(y)
-    on the branch, so its only zero there is the root (at x < e_sum).
+    On the branch the root has x < e_sum, where the tangent form reads
+    tan(delta) = tan(2 atan(x / e_sum)), so delta = 2 atan(x / e_sum).
     """
-
-    def g(y: float) -> float:
-        x = y / length
-        return math.sin(y) * (x * x - e_sum * e_sum) - 2.0 * e_sum * x * math.cos(y)
 
     def f(y: float) -> float:
         x = y / length
         return math.tan(y) - 2.0 * e_sum * x / (x * x - e_sum * e_sum)
 
-    return _solve_branch(g, f, n_i) / length
+    return _solve_branch(f, n_i, 2.0, length * e_sum) / length
 
 
 def _check_3d_args(qnums: QuantumNumbers, box: BoxSpec) -> None:

@@ -92,6 +92,10 @@ def test_runs_are_deterministic():
         ("spectrum", "--dim", "1", "--lc", "1,10,100,300", "--levels", "4"),
         ("spectrum", "--dim", "3", "--lc", "1,10", "--levels", "3", "--format", "json"),
         ("field", "--dim", "1", "--n", "2", "--lc", "1", "--grid", "21"),
+        # spin-1/2 roots within an ulp of the tangent pole and of n pi
+        ("count", "--dim", "1", "--lengths", "1e11", "--model", "dirac",
+         "--tmax", "1000"),
+        ("spectrum", "--dim", "1", "--lc", "1e17"),
     ):
         first = invoke(*args)
         second = invoke(*args)

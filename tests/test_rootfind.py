@@ -1,15 +1,14 @@
-"""Scalar bracketed solver and the 1D / 3D transcendental wavenumbers."""
+"""Scalar Newton solver and the 1D / 3D transcendental wavenumbers."""
 
 import itertools
 import math
 import sys
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from relbox import (
     BoxSpec,
-    BracketError,
     CapacityError,
     ConvergenceError,
     QuantumNumbers,
@@ -17,10 +16,8 @@ from relbox import (
     dirac_wavenumbers_3d,
     kg_wavenumber_1d,
     kg_wavenumbers_3d,
-    solve_bracketed,
 )
 import relbox.rootfind
-from relbox.rootfind import _SCALAR_ITER_CAP, _SCALAR_REL_TOL, _brent, _polish
 
 from oracles import dirac_root_1d, newton_wavenumbers_3d
 
@@ -29,86 +26,12 @@ Y1_UNIT_BOX = 2.0287578381104342
 Y2_UNIT_BOX = 4.9131804394348837
 
 
-def test_solve_bracketed_linear():
-    assert solve_bracketed(lambda x: x - 1.0, 0.0, 2.0) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_solve_bracketed_tangent_case():
-    root = solve_bracketed(lambda y: math.tan(y) + y, 1.6, 3.1)
-    assert root == pytest.approx(Y1_UNIT_BOX, abs=1e-9)
-
-
-def test_solve_bracketed_sqrt2():
-    assert solve_bracketed(lambda x: x * x - 2.0, 1.0, 2.0) == pytest.approx(
-        math.sqrt(2.0), abs=1e-12
-    )
-
-
-def test_solve_bracketed_requires_sign_change():
-    with pytest.raises(BracketError):
-        solve_bracketed(lambda x: x * x + 1.0, -1.0, 1.0)
-
-
-def test_solve_bracketed_iteration_cap(monkeypatch):
-    monkeypatch.setattr(relbox.rootfind, "_SCALAR_ITER_CAP", 2)
+def test_scalar_newton_iteration_cap(monkeypatch):
+    monkeypatch.setattr(relbox.rootfind, "_SCALAR_ITER_CAP", 1)
     with pytest.raises(ConvergenceError) as excinfo:
-        solve_bracketed(lambda y: math.tan(y) + y, 1.6, 3.1)
+        dirac_wavenumber_1d(1, 1.0)
     assert excinfo.value.last_estimate is not None
-    assert 1.6 <= excinfo.value.last_estimate <= 3.1
-
-
-def test_solve_bracketed_nan_is_typed_error():
-    def f(x):
-        return x - 1.0 if x in (0.0, 2.0) else math.nan
-
-    with pytest.raises(ConvergenceError):
-        solve_bracketed(f, 0.0, 2.0)
-
-
-# no deadline: the first example pays for importing scipy
-@settings(deadline=None, max_examples=500)
-@given(
-    n=st.integers(min_value=1, max_value=3000),
-    log_length=st.floats(min_value=-1.0, max_value=4.0),
-    kinetic=st.one_of(st.none(), st.floats(min_value=1e-6, max_value=1e3)),
-    rel_tol=st.sampled_from([_SCALAR_REL_TOL, 1e-12]),
-)
-def test_solve_bracketed_matches_scipy_brentq_bitwise(n, log_length, kinetic, rel_tol):
-    """The in-house Brent iteration returns exactly scipy's float on the
-    smooth 1D and 3D forms over the exact branch brackets the library
-    solves, at the scalar tolerance and a looser one; ``solve_bracketed``
-    is that float at the scalar tolerance, plus the same polish."""
-    optimize = pytest.importorskip("scipy.optimize")
-    box_length = 10.0**log_length
-    lo, hi = (n - 0.5) * math.pi, n * math.pi
-    if kinetic is None:
-        def f(y):
-            return box_length * math.sin(y) + y * math.cos(y)
-    else:
-        e_sum = kinetic + 2.0
-
-        def f(y):
-            x = y / box_length
-            return math.sin(y) * (x * x - e_sum * e_sum) - 2.0 * e_sum * x * math.cos(y)
-
-    if not f(lo) * f(hi) < 0.0:
-        return  # no root on this branch for the solver to find
-    xtol, rtol = 0.5 * rel_tol, max(0.5 * rel_tol, 4.0 * math.ulp(1.0))
-    expected = optimize.brentq(f, lo, hi, xtol=xtol, rtol=rtol, maxiter=_SCALAR_ITER_CAP)
-    assert _brent(f, lo, hi, f(lo), f(hi), xtol, rtol, _SCALAR_ITER_CAP) == expected
-    if rel_tol == _SCALAR_REL_TOL:
-        assert solve_bracketed(f, lo, hi) == _polish(f, expected, lo, hi)
-
-
-@given(
-    st.floats(min_value=-10.0, max_value=10.0),
-    st.floats(min_value=0.01, max_value=5.0),
-    st.floats(min_value=0.01, max_value=5.0),
-)
-def test_solve_bracketed_stays_inside(root, below, above):
-    lo, hi = root - below, root + above
-    result = solve_bracketed(lambda x: (x - root) ** 3 + 0.1 * (x - root), lo, hi)
-    assert lo <= result <= hi
+    assert 0.5 * math.pi <= excinfo.value.last_estimate <= math.pi
 
 
 def test_kg_wavenumber_values():
@@ -191,30 +114,41 @@ def test_dirac_1d_root_inside_bracket_shrink(n, box_length):
 
 @settings(deadline=None, max_examples=500)
 @given(
-    log_length=st.floats(min_value=-8.0, max_value=8.0),
+    log_length=st.floats(min_value=-8.0, max_value=300.0),
     n=st.integers(min_value=1, max_value=10**6),
 )
+@example(log_length=-40.0, n=11)  # n pi - delta rounds to below the pole end
 def test_dirac_1d_root_in_branch_and_matches_oracle(log_length, n):
-    """Any box from 1e-8 to 1e8 and any n up to 1e6: the root lies in its
-    branch and agrees with the bisection oracle; BracketError only when the
-    root is within half an ulp of the tangent pole."""
+    """Any box from 1e-8 to 1e300 and any n up to 1e6: the root lies in its
+    branch and agrees with the bisection oracle."""
     box_length = 10.0**log_length
     pole = (n - 0.5) * math.pi
-    try:
-        x = dirac_wavenumber_1d(n, box_length)
-    except BracketError:
-        # the root sits about L / y above the pole at y = (n - 1/2) pi
-        assert box_length / pole < math.ulp(pole) / 2
-        return
+    x = dirac_wavenumber_1d(n, box_length)
     assert pole / box_length <= x <= n * math.pi / box_length
 
     def f(y):
         return math.tan(y) + y / box_length
 
     # the oracle needs its own bracket (the branch pulled in by 1e-12) to
-    # change sign, which fails where the root is that close to the pole
+    # change sign, which fails where the root is that close to an end
     assume(f(pole + 1e-12) * f(n * math.pi - 1e-12) < 0.0)
     assert x == pytest.approx(dirac_root_1d(n, box_length), rel=1e-12)
+
+
+@settings(deadline=None, max_examples=500)
+@given(
+    log_length=st.floats(min_value=8.0, max_value=300.0),
+    n=st.integers(min_value=1, max_value=1000),
+)
+@example(log_length=17.0, n=1)
+def test_dirac_1d_large_box_asymptote(log_length, n):
+    """With y = x L the root solves x L + atan(x) = n pi, so in a large box
+    x = n pi / (L + 1) (1 + x^2 / (3 (L + 1)) + ...), far inside the bound."""
+    box_length = 10.0**log_length
+    x = dirac_wavenumber_1d(n, box_length)
+    asymptote = n * math.pi / (box_length + 1.0)
+    bound = 4.0 * sys.float_info.epsilon + (n * math.pi / box_length) ** 2
+    assert abs(x - asymptote) <= bound * asymptote
 
 
 def test_dirac_1d_domain_errors():
@@ -305,6 +239,21 @@ def test_dirac_3d_matches_newton_oracle_anywhere(log_lengths, n):
     for a, b, ni, length in zip(fp[:3], nw[:3], n, lengths):
         assert (ni - 0.5) * math.pi / length <= a <= ni * math.pi / length
         assert a == pytest.approx(b, rel=1e-12)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    lengths=st.tuples(*[st.floats(min_value=-6.0, max_value=6.0).map(lambda v: 10.0**v)] * 3),
+    n=st.tuples(*[st.integers(min_value=1, max_value=10**5)] * 3),
+)
+@example(lengths=(1e17, 1e17, 1e17), n=(1, 1, 1))
+@example(lengths=(1.1e-6, 2.7e-6, 3.5e5), n=(1, 72602, 5473))
+def test_dirac_3d_root_in_branch_anywhere(lengths, n):
+    """Boxes from 1e-6 to 1e6 per axis and indices up to 1e5, including axes
+    whose energy sum e dwarfs x, where the root sits next to n pi."""
+    fp = dirac_wavenumbers_3d(QuantumNumbers(n), BoxSpec(lengths))
+    for a, ni, length in zip(fp[:3], n, lengths):
+        assert (ni - 0.5) * math.pi / length <= a <= ni * math.pi / length
 
 
 @settings(deadline=None, max_examples=100)

@@ -638,6 +638,18 @@ def test_count_1d_large_kg_is_the_closed_form_at_once():
     assert elapsed < 0.1
 
 
+def test_count_1d_dirac_with_cutoff_levels_next_to_the_tangent_pole():
+    """At n ~ 3e13 in L = 1e11 the cutoff roots sit ~1e-3 above (n - 1/2) pi,
+    below its ulp of 0.016: still a count between the spin-0 count and the
+    branch-edge count, with the cutoff between its last level and the next."""
+    length, tmax = 1e11, 1e3
+    c = count_states("dirac", BoxSpec((length,)), tmax)
+    edge = math.floor(length * math.sqrt(tmax * (tmax + 2.0)) / math.pi + 0.5)
+    assert count_states("kg", BoxSpec((length,)), tmax) == 31862803707398 <= c <= edge
+    assert level_1d("dirac", c, length).kinetic <= tmax
+    assert tmax < level_1d("dirac", c + 1, length).kinetic
+
+
 def test_count_needs_a_finite_cutoff():
     for box in (BoxSpec((1.0,)), BoxSpec.cube(1.0)):
         with pytest.raises(ValueError):

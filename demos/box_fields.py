@@ -41,8 +41,6 @@ print("stationary-equation residual shrinks at second order:")
 for npts in (51, 101, 201):
     res = stationarity_residual(state, GridSpec(npts))
     print(f"  {npts:>4} points: {res:.3e}")
-print("  analytic second derivative instead of the stencil:",
-      f"{stationarity_residual(state, GridSpec(101), laplacian='analytic'):.1e}")
 
 print()
 cube = BoxState(box=BoxSpec.cube(1.0), qnums=QuantumNumbers((1, 1, 2)))

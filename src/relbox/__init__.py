@@ -5,46 +5,21 @@ Everything is dimensionless (natural units hbar = c = m = 1); the only free
 parameters are the box side lengths in Compton-wavelength units.
 """
 
-from .core import (
-    BoxSpec,
-    FVSpinor,
-    ModeAmplitudes,
-    QuantumNumbers,
-    charge_conjugate,
-    mode_amplitudes,
-)
-from .errors import CapacityError, ConvergenceError
-from .rootfind import (
-    dirac_wavenumber_1d,
-    dirac_wavenumbers_3d,
-    kg_wavenumber_1d,
-    kg_wavenumbers_3d,
-)
-from .spectra import (
-    MODELS,
-    Level,
-    SpectrumRequest,
-    count_states,
-    dispersion,
-    enumerate_levels,
-    level_1d,
-    level_3d,
-    spectrum_table,
-)
+from . import core, errors, rootfind, spectra
+from .core import *
+from .errors import *
+from .rootfind import *
+from .spectra import *
 
 __version__ = "0.1.0"
 
 # Names of ``relbox.fields``, the one module that needs numpy: imported on
 # first access (PEP 562), so spectra and counts start without numpy.
-_FIELDS_NAMES = frozenset({
-    "BoxState",
-    "FieldGrid",
-    "FieldSample",
-    "GridSpec",
-    "conjugated_state",
-    "normalization_check",
-    "stationarity_residual",
-})
+_FIELDS_NAMES = ("GridSpec", "FieldSample", "FieldGrid", "BoxState", "conjugated_state",
+                 "normalization_check", "stationarity_residual")
+
+__all__ = [*core.__all__, *errors.__all__, *rootfind.__all__, *spectra.__all__,
+           *_FIELDS_NAMES, "__version__"]
 
 
 def __getattr__(name: str):
@@ -53,35 +28,3 @@ def __getattr__(name: str):
 
         return getattr(fields, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-__all__ = [
-    "BoxSpec",
-    "QuantumNumbers",
-    "FVSpinor",
-    "ModeAmplitudes",
-    "mode_amplitudes",
-    "charge_conjugate",
-    "kg_wavenumber_1d",
-    "dirac_wavenumber_1d",
-    "kg_wavenumbers_3d",
-    "dirac_wavenumbers_3d",
-    "MODELS",
-    "Level",
-    "SpectrumRequest",
-    "dispersion",
-    "level_1d",
-    "level_3d",
-    "enumerate_levels",
-    "count_states",
-    "spectrum_table",
-    "BoxState",
-    "FieldGrid",
-    "FieldSample",
-    "GridSpec",
-    "conjugated_state",
-    "normalization_check",
-    "stationarity_residual",
-    "ConvergenceError",
-    "CapacityError",
-    "__version__",
-]

@@ -358,7 +358,7 @@ def _parser(prog: str) -> argparse.ArgumentParser:
     box.add_argument("--lengths", type=_floats,
                      help="Explicit per-axis box lengths (alternative to --lc).")
     model = options(box)
-    model.add_argument("--model", choices=("kg", "dirac", "nonrel", "all"), default="all",
+    model.add_argument("--model", choices=(*MODELS, "all"), default="all",
                        help="Model to tabulate (default: %(default)s).")
     model.add_argument("--tmax", type=float, help="Kinetic-energy cutoff (required by count).")
     model.add_argument("--spin-counting", action="store_true",

@@ -159,14 +159,19 @@ def mode_amplitudes(wavenumber: float, branch: int) -> ModeAmplitudes:
     return ModeAmplitudes(phi0=phi0, chi0=chi0, branch=branch, scaled_energy=eps)
 
 
+def _norm_sq(wavenumbers) -> float:
+    """|x|^2 as the exactly rounded sum of the squares; +inf where it overflows."""
+    try:
+        return math.fsum(x * x for x in wavenumbers)
+    except OverflowError:  # finite squares whose sum overflows
+        return math.inf
+
+
 def dispersion(model: str, wavenumbers: tuple[float, ...]) -> float:
     """Scaled kinetic energy of a mode with the given wavenumbers: the
     cancellation-free sqrt(|x|^2 + 1) - 1 for ``kg`` and ``dirac``, |x|^2 / 2
     for ``nonrel``.  Where |x|^2 overflows the first is NaN, the second +inf."""
-    try:
-        norm_sq = math.fsum(x * x for x in wavenumbers)
-    except OverflowError:  # finite squares whose sum overflows
-        norm_sq = math.inf
+    norm_sq = _norm_sq(wavenumbers)
     if model in ("kg", "dirac"):
         return norm_sq / (math.sqrt(norm_sq + 1.0) + 1.0)
     if model == "nonrel":

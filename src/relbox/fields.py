@@ -16,17 +16,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import BoxSpec, FVSpinor, QuantumNumbers, mode_amplitudes
+from . import _FIELDS_NAMES
+from .core import BoxSpec, FVSpinor, ModeAmplitudes, QuantumNumbers, _norm_sq, mode_amplitudes
 
-__all__ = [
-    "GridSpec",
-    "FieldSample",
-    "FieldGrid",
-    "BoxState",
-    "conjugated_state",
-    "normalization_check",
-    "stationarity_residual",
-]
+__all__ = list(_FIELDS_NAMES)
 
 
 @dataclass(frozen=True)
@@ -89,12 +82,15 @@ class BoxState:
     def scaled_energy(self) -> float:
         """Signed energy in units of mc^2: +eps for the particle state,
         -eps for its charge conjugate."""
-        eps = mode_amplitudes(_norm(self.wavenumbers), +1).scaled_energy
+        eps = self._mode().scaled_energy
         return -eps if self.conjugated else eps
+
+    def _mode(self) -> ModeAmplitudes:
+        return mode_amplitudes(math.sqrt(_norm_sq(self.wavenumbers)), +1)
 
     def amplitudes(self) -> tuple[float, float]:
         """(upper, lower) spatial amplitudes in front of the sine profile."""
-        amps = mode_amplitudes(_norm(self.wavenumbers), +1)
+        amps = self._mode()
         if self.conjugated:
             return amps.chi0, amps.phi0
         return amps.phi0, amps.chi0
@@ -137,7 +133,7 @@ class BoxState:
             time=float(time),
             upper=_unsigned(upper),
             lower=_unsigned(lower),
-            rho=_abs2(upper) - _abs2(lower),
+            rho=_density(self, sines),
             current=tuple(current),
         )
 
@@ -179,21 +175,22 @@ def _outer(factors) -> np.ndarray:
     return out
 
 
-def _abs2(z: np.ndarray) -> np.ndarray:
-    # |z|^2 through the C library's hypot and pow, as Python's abs(z) ** 2
-    # computes it, so the density keeps the values the per-point formula gave.
-    # np.abs(z) and z * z differ from those in the last bit of some values.
-    return np.float_power(np.hypot(z.real, z.imag), 2.0)
+def _density(state: BoxState, profiles) -> np.ndarray:
+    """Charge density on the tensor grid of per-axis sine ``profiles``.
+
+    By the amplitude identity ``|upper|^2 - |lower|^2 = ±prefactor^2`` times
+    the squared profile, the sign being that of the charge; forming the
+    difference itself would cancel at large wavenumbers, where both squares
+    grow like the wavenumber.
+    """
+    scale = (-1.0 if state.conjugated else 1.0) * state.prefactor() ** 2
+    return _unsigned(scale * _outer([p**2 for p in profiles]))
 
 
 def _unsigned(arr: np.ndarray) -> np.ndarray:
     # Adding +0.0 turns the -0.0 left by sign-carrying products with exact
     # zeros into +0.0 and leaves every other value as it is.
     return arr + 0.0
-
-
-def _norm(xs) -> float:
-    return math.sqrt(math.fsum(x * x for x in xs))
 
 
 def conjugated_state(state: BoxState) -> BoxState:
@@ -226,21 +223,17 @@ def _sine_profiles(state: BoxState, axes) -> list[np.ndarray]:
 def normalization_check(state: BoxState, grid: GridSpec) -> float:
     """Composite-Simpson quadrature of the charge density over the box.
 
-    The exact value is +1, or -1 for a conjugated state.  The density is
-    ``±prefactor^2`` times the squared profile, by the amplitude identity
-    ``|upper|^2 - |lower|^2 = ±1``; forming that difference would cancel at
-    large wavenumbers.  Raises ``ValueError`` on a grid that aliases the
-    state (see :meth:`GridSpec.resolves`) or has an even point count.
+    The exact value is +1, or -1 for a conjugated state.  Raises
+    ``ValueError`` on a grid that aliases the state (see
+    :meth:`GridSpec.resolves`) or has an even point count.
     """
     if not grid.resolves(state.qnums):
         raise ValueError(
             f"{grid.points_per_axis} points per axis alias quantum numbers "
             f"{state.qnums.indices}: need points - 1 > 2 n_i"
         )
-    profiles = _sine_profiles(state, grid.axes(state.box))
+    rho = _density(state, _sine_profiles(state, grid.axes(state.box)))
     weights = [_simpson_weights(grid.points_per_axis, length) for length in state.box.lengths]
-    density_scale = (-1.0 if state.conjugated else 1.0) * state.prefactor() ** 2
-    rho = density_scale * _outer([p**2 for p in profiles])
     if state.box.dimension == 1:
         return float(np.dot(weights[0], rho))
     return float(np.einsum("i,j,k,ijk->", weights[0], weights[1], weights[2], rho))
@@ -250,46 +243,31 @@ def stationarity_residual(
     state: BoxState,
     grid: GridSpec,
     energy: float | None = None,
-    laplacian: str = "fd",
 ) -> float:
     """Largest interior-point violation of the stationary equation H psi = E psi.
 
     The Hamiltonian applies the kinetic operator to the component sum
     (upper + lower) and adds the rest-energy term with opposite signs on the
-    two components.  With ``laplacian="fd"`` the second derivative comes
-    from the 3-point central stencil and the residual shrinks as O(h^2)
-    under grid refinement; ``laplacian="analytic"`` substitutes the exact
-    second derivative of the sine profile, pinning the residual at rounding
-    level for true eigenstates.
+    two components.  The second derivative comes from the 3-point central
+    stencil, so the residual shrinks as O(h^2) under grid refinement.
 
     ``energy`` overrides the state's own eigenvalue, useful for checking
     that the residual actually detects a wrong energy.
     """
-    if laplacian not in ("fd", "analytic"):
-        raise ValueError(f"laplacian must be 'fd' or 'analytic', got {laplacian!r}")
     profile = _outer(_sine_profiles(state, grid.axes(state.box)))
     a_up, a_lo = state.amplitudes()
     pref = state.prefactor()
     e_val = state.scaled_energy if energy is None else float(energy)
     upper = pref * a_up * profile
     lower = pref * a_lo * profile
-    psum = upper + lower
-
-    if laplacian == "analytic":
-        lap = -sum(x * x for x in state.wavenumbers) * _interior(psum)
-    else:
-        lap = _fd_laplacian(psum, state.box, grid.points_per_axis)
-
-    kinetic_term = -0.5 * lap
+    kinetic_term = -0.5 * _fd_laplacian(upper + lower, state.box, grid.points_per_axis)
     res_upper = kinetic_term + _interior(upper) - e_val * _interior(upper)
     res_lower = -kinetic_term - _interior(lower) - e_val * _interior(lower)
     return float(max(np.max(np.abs(res_upper)), np.max(np.abs(res_lower))))
 
 
 def _interior(arr: np.ndarray) -> np.ndarray:
-    if arr.ndim == 1:
-        return arr[1:-1]
-    return arr[1:-1, 1:-1, 1:-1]
+    return arr[(slice(1, -1),) * arr.ndim]
 
 
 def _fd_laplacian(arr: np.ndarray, box: BoxSpec, npoints: int) -> np.ndarray:

@@ -33,14 +33,11 @@ __all__ = [
     "MODELS",
     "Level",
     "SpectrumRequest",
-    "dispersion",
     "level_1d",
     "level_3d",
     "enumerate_levels",
     "count_states",
     "spectrum_table",
-    "DEFAULT_LATTICE_MAX_1D",
-    "DEFAULT_LATTICE_MAX_3D",
 ]
 
 MODELS = ("kg", "dirac", "nonrel")
@@ -241,25 +238,31 @@ def _count_1d(model: str, length: float, max_kinetic: float) -> int:
 
 
 def _count_3d(model: str, box: BoxSpec, max_kinetic: float) -> int:
-    cap = DEFAULT_LATTICE_MAX_3D
+    walk = _lattice_walk(model, box)
     limit = max_kinetic * (1.0 + MERGE_REL_TOL)
+    return _count_from_shell(lambda threshold: walk(threshold, limit), max_kinetic)
+
+
+def _lattice_walk(model: str, box: BoxSpec):
+    """``walk(threshold, limit)``: ``_split_lattice`` with each shell triple
+    replaced by its level, solved once across calls; a spin-1/2 triple with
+    an index above ``DEFAULT_LATTICE_MAX_3D`` raises CapacityError."""
+    cap = DEFAULT_LATTICE_MAX_3D
     solved: dict[tuple[int, int, int], Level] = {}
 
-    def solve(triple):
-        if triple not in solved:
-            if model == "dirac" and max(triple) > cap:
-                raise CapacityError(
-                    f"3D count needs spin-1/2 solves above the lattice bound {cap}",
-                    lattice_max=cap,
-                )
-            solved[triple] = level_3d(model, QuantumNumbers(triple), box)
-        return solved[triple]
-
-    def split(threshold):
+    def walk(threshold: float, limit: float):
         inside, shell = _split_lattice(model, box, threshold, limit)
-        return inside, [(solve(triple), weight) for triple, weight in shell]
+        for triple, _ in shell:
+            if triple not in solved:
+                if model == "dirac" and max(triple) > cap:
+                    raise CapacityError(
+                        f"3D count needs spin-1/2 solves above the lattice bound {cap}",
+                        lattice_max=cap,
+                    )
+                solved[triple] = level_3d(model, QuantumNumbers(triple), box)
+        return inside, [(solved[triple], weight) for triple, weight in shell]
 
-    return _count_from_shell(split, max_kinetic)
+    return walk
 
 
 def _split_lattice(model: str, box: BoxSpec, threshold: float, limit: float):
@@ -428,14 +431,11 @@ def _enumerate_3d(request: SpectrumRequest) -> list[Level]:
         _lower_bound(model, (1,) * axis + (cap + 1,) + (1,) * (2 - axis), box.lengths)
         for axis in range(3)
     )
-    solved: dict[tuple[int, int, int], Level] = {}
+    walk = _lattice_walk(model, box)
 
     def merged(reach):
-        _, modes = _split_lattice(model, box, 0.0, reach)
-        for triple, _ in modes:
-            if triple not in solved:
-                solved[triple] = level_3d(model, QuantumNumbers(triple), box)
-        return _merge_sorted([(solved[triple], weight * spin) for triple, weight in modes])
+        _, shell = walk(0.0, reach)
+        return _merge_sorted([(level, weight * spin) for level, weight in shell])
 
     margin = 1.0 + MERGE_REL_TOL
     cutoff, count = request.max_kinetic, request.count

@@ -278,11 +278,21 @@ def test_field_accepts_grid_just_above_aliasing():
 def test_field_large_wavenumber_runs():
     # x = 1e4 pi / 1e-3: the amplitude identity holds only relative to
     # phi0^2 ~ 7.85e6, so phi0^2 - chi0^2 formed in floats is off by ~1e-9;
-    # the quadrature must not depend on that difference
-    result = invoke("field", "--dim", "1", "--n", "10000", "--lc", "0.001",
-                    "--grid", "40001", "--format", "json")
-    assert result.exit_code == 0, result.stderr
-    assert abs(json.loads(result.stdout)["summary"]["normalization"] - 1.0) <= 1e-12
+    # neither the quadrature nor the density may depend on that difference.
+    # At L = 1e-16 the two squares are ~1e24 and their difference ~2e16.
+    for n, lc, grid in (10000, 0.001, 40001), (1, 1e-16, 5):
+        result = invoke("field", "--dim", "1", "--n", str(n), "--lc", str(lc),
+                        "--grid", str(grid), "--format", "json")
+        assert result.exit_code == 0, result.stderr
+        payload = json.loads(result.stdout)
+        assert abs(payload["summary"]["normalization"] - 1.0) <= 1e-12
+        # rho = (2 / L) sin^2(x_n x), the sine argument rounded as the library
+        # rounds it (x_n = n pi / L, then x_n x): one rounding of an argument
+        # ~3e4 moves the sine by ~4e-12
+        x_n = n * math.pi / lc
+        for row in payload["rows"]:
+            expected = 2.0 / lc * math.sin(x_n * row["x"]) ** 2
+            assert abs(row["rho"] - expected) <= 1e-12 * 2.0 / lc, (n, lc, row)
 
 
 def test_field_prints_no_negative_zero():

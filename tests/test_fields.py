@@ -235,11 +235,6 @@ def test_stationarity_second_order_3d():
     assert 3.5 <= coarse / fine <= 4.5
 
 
-def test_stationarity_analytic_laplacian_is_exact():
-    assert stationarity_residual(UNIT_1D, GridSpec(101), laplacian="analytic") <= 1e-12
-    assert stationarity_residual(UNIT_CUBE, GridSpec(11), laplacian="analytic") <= 1e-12
-
-
 def test_stationarity_detects_wrong_energy():
     grid = GridSpec(201)
     residual = stationarity_residual(
@@ -250,11 +245,6 @@ def test_stationarity_detects_wrong_energy():
     profile = np.abs(np.sin(math.pi * xs))
     psi_max = UNIT_1D.prefactor() * max(abs(a_up), abs(a_lo)) * float(profile.max())
     assert residual >= 0.05 * psi_max
-
-
-def test_stationarity_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        stationarity_residual(UNIT_1D, GridSpec(101), laplacian="spectral")
 
 
 def test_scalar_wave_equation_residual_shrinks_second_order():
@@ -403,14 +393,17 @@ def test_evaluate_matches_closed_form(state_axes, t, data):
 
 
 def _scalar_sample(state, pos, t):
-    """The per-point formula the array evaluation replaced: (upper, lower, rho)."""
+    """The per-point formula the array evaluation replaced: (upper, lower,
+    rho), rho as the closed form +-prefactor^2 prod sin^2 (squares as s * s,
+    the product in axis order)."""
     sines = [0.0 if r in (0.0, length) else math.sin(x * r)
              for x, r, length in zip(state.wavenumbers, pos, state.box.lengths)]
     a_up, a_lo = state.amplitudes()
     phase = cmath.exp(-1j * state.scaled_energy * t)
     upper = state.prefactor() * a_up * math.prod(sines) * phase
     lower = state.prefactor() * a_lo * math.prod(sines) * phase
-    return upper, lower, abs(upper) ** 2 - abs(lower) ** 2
+    scale = (-1.0 if state.conjugated else 1.0) * state.prefactor() ** 2
+    return upper, lower, scale * math.prod(s * s for s in sines)
 
 
 @settings(deadline=None, max_examples=100)

@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import sys
+from collections.abc import Iterator
 
 from . import __version__
 from .core import BoxSpec, QuantumNumbers
@@ -73,72 +74,108 @@ def _json(value, level: int = 0) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)
 
 
-def _column(values, fmt: str) -> tuple[str, list | None]:
-    """One table column as a printf conversion and the values it formats.
+# Rows per block of a streamed table: a block is formatted by one printf
+# template, so the text in memory at once stays a few megabytes.
+_BLOCK_ROWS = 8192
+
+
+def _column(values, fmt: str) -> tuple[str, object]:
+    """One table column as a printf conversion and the values it formats
+    (a list or an array; None when the conversion is a literal).
 
     Plain floats become one ``%.17g`` (CSV) or ``%r`` (JSON, which writes
     floats by ``repr``) conversion and plain ints one ``%d``; a float64
     array whose every value has the same bits is formatted once, into a
-    literal.  Any other column is formatted cell by cell into ``%s``.
+    literal.  An array with at most half of its values distinct (as bits,
+    so ``-0.0`` and ``0.0`` stay apart) has each distinct value formatted
+    once and its cells filled by ``%s`` from an object array of the
+    strings.  Any other column is formatted cell by cell into ``%s``.
     Arrays are told apart by their ``dtype``, so that only ``field``, the
     one command that makes them, loads numpy.
     """
     cell = _fmt if fmt == "csv" else lambda v: _json(v, 3)
+    spec = "%.17g" if fmt == "csv" else "%r"
     if hasattr(values, "dtype"):
         import numpy as np
 
         if fmt == "csv" or np.isfinite(values).all():
             bits = values.view(np.int64)
-            if (bits == bits[0]).all():
+            ordered = np.sort(bits)
+            changes = ordered[1:] != ordered[:-1]
+            distinct = 1 + np.count_nonzero(changes)
+            if distinct == 1:
                 return cell(float(values[0])).replace("%", "%%"), None
-            return ("%.17g" if fmt == "csv" else "%r"), values.tolist()
+            if 2 * distinct > bits.size:
+                return spec, values
+            keys = np.append(ordered[:1], ordered[1:][changes])
+            strings = np.array([spec % v for v in keys.view(np.float64).tolist()], dtype=object)
+            return "%s", strings[np.searchsorted(keys, bits)]
         values = values.tolist()
     kinds = set(map(type, values))
     if kinds == {float} and (fmt == "csv" or all(map(math.isfinite, values))):
-        return ("%.17g" if fmt == "csv" else "%r"), values
+        return spec, values
     if kinds == {int}:
         return "%d", values
     return "%s", [cell(v) for v in values]
 
 
-def _format_rows(table: dict, nrows: int, fmt: str) -> str:
-    """All rows of ``table`` through one printf row template, as the CSV body
-    or as the items of the JSON ``rows`` list."""
+def _format_rows(table: dict, nrows: int, fmt: str) -> Iterator[str]:
+    """The rows of ``table`` through one printf row template, a block of
+    ``_BLOCK_ROWS`` rows at a time: pieces that join to the CSV body or to
+    the items of the JSON ``rows`` list.  The columns are analysed at the
+    call, before the first block is formatted."""
     specs, cells = zip(*(_column(values, fmt) for values in table.values()))
-    flat = tuple(itertools.chain.from_iterable(zip(*(c for c in cells if c is not None))))
+    cells = [c for c in cells if c is not None]
     if fmt == "csv":
-        return "\n".join([",".join(specs)] * nrows) % flat
-    items = ",\n".join(
-        f"      {_json(name).replace('%', '%%')}: {spec}" for name, spec in zip(table, specs)
-    )
-    return ",\n".join(["    {\n" + items + "\n    }"] * nrows) % flat
-
-
-def _render(table: dict, config, summary, fmt: str) -> str:
-    """A column table (name -> column, all of one length) with its config
-    and summary: in JSON exactly as ``json.dumps(payload, indent=2)`` writes
-    the payload, in CSV ``#`` summary lines, the header and ``_fmt`` cells."""
-    nrows = len(next(iter(table.values()), ()))
-    if fmt == "json":
-        rows = "[\n" + _format_rows(table, nrows, fmt) + "\n  ]" if nrows else "[]"
-        return (
-            f'{{\n  "config": {_json(config, 1)},\n  "rows": {rows},\n'
-            f'  "summary": {_json(summary, 1)}\n}}\n'
+        sep, row = "\n", ",".join(specs)
+    else:
+        items = ",\n".join(
+            f"      {_json(name).replace('%', '%%')}: {spec}" for name, spec in zip(table, specs)
         )
+        sep, row = ",\n", "    {\n" + items + "\n    }"
+    size = min(_BLOCK_ROWS, nrows)
+    full = sep.join([row] * size)
+
+    def block(start: int) -> str:
+        stop = min(start + size, nrows)
+        parts = [c[start:stop] for c in cells]
+        flat = itertools.chain.from_iterable(
+            zip(*(p.tolist() if hasattr(p, "tolist") else p for p in parts))
+        )
+        template = full if stop - start == size else sep.join([row] * (stop - start))
+        return (sep if start else "") + template % tuple(flat)
+
+    return map(block, range(0, nrows, size))
+
+
+def _render(table: dict, config, summary, fmt: str) -> Iterator[str]:
+    """A column table (name -> column, all of one length) with its config
+    and summary, as pieces of text: in JSON exactly as
+    ``json.dumps(payload, indent=2)`` writes the payload, in CSV ``#``
+    summary lines, the header and ``_fmt`` cells.  The columns are
+    analysed at the call; the rows are formatted as the pieces are read."""
+    nrows = len(next(iter(table.values()), ()))
+    body = _format_rows(table, nrows, fmt) if nrows else ()
+    if fmt == "json":
+        head = f'{{\n  "config": {_json(config, 1)},\n  "rows": ' + ("[\n" if nrows else "[]")
+        tail = ("\n  ]" if nrows else "") + f',\n  "summary": {_json(summary, 1)}\n}}\n'
+        return itertools.chain((head,), body, (tail,))
     lines = [f"# {key}={_fmt(value)}" for key, value in (summary or {}).items()]
     if nrows:
         lines.append(",".join(table))
-        lines.append(_format_rows(table, nrows, fmt))
-    return "\n".join(lines) + "\n"
+    return itertools.chain(("\n".join(lines) + ("\n" if nrows else ""),), body, ("\n",))
 
 
 def _emit(table: dict, config, summary, args) -> None:
-    text = _render(table, config, summary, args.fmt)
+    # ``_render`` analyses the columns, where a large table's memory goes,
+    # before ``--out`` is opened or anything is written: running out of
+    # memory there leaves no partial output.
+    pieces = _render(table, config, summary, args.fmt)
     if args.out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
 
 
 def _fail(code: int, message: str):
@@ -325,10 +362,6 @@ def _field(args) -> None:
         }
         return table, summary
 
-    try:
-        table, summary = build()
-    except MemoryError as exc:
-        _fail(4, f"a grid of {grid} points per axis does not fit in memory ({exc})")
     config = {
         "command": "field",
         "dim": dim,
@@ -338,7 +371,11 @@ def _field(args) -> None:
         "grid": grid,
         "conjugate": args.conjugate,
     }
-    _emit(table, config, summary, args)
+    try:
+        table, summary = build()
+        _emit(table, config, summary, args)
+    except MemoryError as exc:
+        _fail(4, f"a grid of {grid} points per axis does not fit in memory ({exc})")
 
 
 def _parser(prog: str) -> argparse.ArgumentParser:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -415,6 +416,44 @@ def test_field_grid_beyond_memory_exit_code():
     assert "100000000000001" in result.stderr
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_field_emission_beyond_memory_exit_code(monkeypatch, tmp_path, fmt):
+    """Running out of memory while the table is written is the same
+    refusal as while it is built: exit 4, one error line, no --out file."""
+    monkeypatch.setattr(cli, "_column", _out_of_memory)
+    out = tmp_path / "field.txt"
+    result = invoke("field", "--dim", "1", "--n", "1", "--lc", "1", "--format", fmt,
+                    "--out", str(out))
+    assert result.exit_code == 4
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert not out.exists()
+    result = invoke("field", "--dim", "1", "--n", "1", "--lc", "1", "--format", fmt)
+    assert result.exit_code == 4 and result.stdout == ""
+
+
+def test_field_json_keeps_its_own_peak_memory_small(tmp_path):
+    """The 1D JSON table of 100001 rows is written a block of rows at a time:
+    the process's own peak RSS stays far below the ~106 MB that building the
+    whole text at once took."""
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs /proc/self/status")
+    code = (
+        "import sys\n"
+        "from relbox.cli import main\n"
+        "main(['field', '--dim', '1', '--n', '3', '--lc', '1', '--grid', '100001',\n"
+        "      '--format', 'json', '--out', sys.argv[1]])\n"
+        "print(next(l for l in open('/proc/self/status') if l.startswith('VmHWM:')))\n"
+    )
+    done = _run_python("-c", code, str(tmp_path / "field.json"))
+    assert done.returncode == 0, done.stderr
+    peak_kb = int(done.stdout.split()[1])
+    assert peak_kb < 75 * 1024, f"VmHWM {peak_kb} kB"
+
+
 def test_solver_failure_exit_code(monkeypatch):
     monkeypatch.setattr("relbox.spectra.enumerate_levels", _no_convergence)
     result = invoke("spectrum", "--dim", "3", "--model", "dirac", "--lc", "1")
@@ -495,6 +534,11 @@ def test_fmt_joins_each_item_by_its_own_shape():
     assert _fmt([]) == ""
 
 
+def _text(*args):
+    """What ``_render`` writes: its pieces, joined."""
+    return "".join(_render(*args))
+
+
 def _old_csv(rows, summary):
     """The per-cell CSV emitter the column emitter replaced."""
     lines = [f"# {key}={_fmt(value)}" for key, value in (summary or {}).items()]
@@ -522,13 +566,17 @@ def tables(draw, cells):
     """(rows as dicts, the same table as columns); float columns may be arrays."""
     names = draw(st.lists(st.one_of(st.text(max_size=4), st.sampled_from(["%", "%s", "a%d"])),
                           min_size=1, max_size=5, unique=True))
-    nrows = draw(st.integers(0, 6))
-    column_of = st.sampled_from(["float", "constant", "int", "any"])
+    nrows = draw(st.integers(0, 7))
+    column_of = st.sampled_from(["float", "constant", "pooled", "int", "any"])
     columns = {}
     for name in names:
         kind = draw(column_of)
         if kind == "constant":
             values = [draw(floats)] * nrows
+        elif kind == "pooled":  # few distinct values: the dedupe path of arrays
+            pool = draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0]), floats),
+                                 min_size=1, max_size=3))
+            values = draw(st.lists(st.sampled_from(pool), min_size=nrows, max_size=nrows))
         else:
             values = draw(st.lists({"float": floats, "int": st.integers(-2**70, 2**70),
                                     "any": cells}[kind], min_size=nrows, max_size=nrows))
@@ -551,13 +599,43 @@ def summaries(cells):
 def test_render_json_matches_json_dumps(table, config, summary):
     rows, columns = table
     payload = {"config": config, "rows": rows, "summary": summary}
-    assert _render(columns, config, summary, "json") == json.dumps(payload, indent=2) + "\n"
-    assert _render(_columns(rows), config, summary, "json") == json.dumps(payload, indent=2) + "\n"
+    with mock.patch.object(cli, "_BLOCK_ROWS", 3):
+        assert _text(columns, config, summary, "json") == json.dumps(payload, indent=2) + "\n"
+        assert (_text(_columns(rows), config, summary, "json")
+                == json.dumps(payload, indent=2) + "\n")
 
 
 @settings(deadline=None, max_examples=300)
 @given(tables(csv_cells), summaries(csv_cells))
 def test_render_csv_matches_per_cell_format(table, summary):
     rows, columns = table
-    assert _render(columns, {}, summary, "csv") == _old_csv(rows, summary)
-    assert _render(_columns(rows), {}, summary, "csv") == _old_csv(rows, summary)
+    with mock.patch.object(cli, "_BLOCK_ROWS", 3):
+        assert _text(columns, {}, summary, "csv") == _old_csv(rows, summary)
+        assert _text(_columns(rows), {}, summary, "csv") == _old_csv(rows, summary)
+
+
+@pytest.mark.parametrize("args, fmt", [
+    (("--dim", "3", "--n", "1,2,3", "--grid", "41"), "csv"),
+    (("--dim", "1", "--n", "8", "--grid", "100001"), "json"),
+])
+def test_render_field_tables_of_the_workload_shapes(monkeypatch, args, fmt):
+    """The field tables of the benchmark's two shapes, many blocks long and
+    with columns of few distinct values, render as the per-cell formatter
+    (CSV) and ``json.dumps`` (JSON) write them."""
+    seen = []
+
+    def render(*call):
+        seen.append(call)
+        return _render(*call)
+
+    monkeypatch.setattr(cli, "_render", render)
+    result = invoke("field", *args, "--lc", "1", "--format", fmt)
+    assert result.exit_code == 0
+    [(table, config, summary, _)] = seen
+    rows = [dict(zip(table, cells)) for cells in zip(*(c.tolist() for c in table.values()))]
+    assert len(rows) > 4 * cli._BLOCK_ROWS
+    if fmt == "csv":
+        assert result.stdout == _old_csv(rows, summary)
+    else:
+        payload = {"config": config, "rows": rows, "summary": summary}
+        assert result.stdout == json.dumps(payload, indent=2) + "\n"

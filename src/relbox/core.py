@@ -9,7 +9,7 @@ the library are the box side lengths in Compton units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "BoxSpec",
@@ -22,24 +22,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoxSpec:
+class BoxSpec(namedtuple("BoxSpec", "lengths")):
     """Box geometry: side lengths divided by the Compton wavelength.
 
     One length for a 1D box, three for a 3D box.  All lengths must be
     strictly positive and finite.
     """
 
-    lengths: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        lengths = tuple(float(v) for v in self.lengths)
-        object.__setattr__(self, "lengths", lengths)
+    def __new__(cls, lengths: tuple[float, ...]):
+        lengths = tuple(float(v) for v in lengths)
         if len(lengths) not in (1, 3):
             raise ValueError(f"box must be 1D or 3D, got {len(lengths)} lengths")
         for v in lengths:
             if not math.isfinite(v) or v <= 0.0:
                 raise ValueError(f"box lengths must be positive and finite, got {v}")
+        return super().__new__(cls, lengths)
 
     @classmethod
     def cube(cls, length: float, dim: int = 3) -> "BoxSpec":
@@ -60,20 +59,19 @@ class BoxSpec:
         return math.prod(self.lengths)
 
 
-@dataclass(frozen=True)
-class QuantumNumbers:
+class QuantumNumbers(namedtuple("QuantumNumbers", "indices")):
     """Mode label: one positive integer per box axis."""
 
-    indices: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        indices = tuple(int(v) for v in self.indices)
-        object.__setattr__(self, "indices", indices)
+    def __new__(cls, indices: tuple[int, ...]):
+        indices = tuple(int(v) for v in indices)
         if len(indices) not in (1, 3):
             raise ValueError(f"need 1 or 3 quantum numbers, got {len(indices)}")
         for v in indices:
             if v < 1:
                 raise ValueError(f"quantum numbers start at 1, got {v}")
+        return super().__new__(cls, indices)
 
     @property
     def dimension(self) -> int:
@@ -86,20 +84,17 @@ class QuantumNumbers:
             )
 
 
-@dataclass(frozen=True)
-class FVSpinor:
+class FVSpinor(namedtuple("FVSpinor", "upper lower")):
     """Two-component spinor (upper, lower) of the first-order spin-0 formalism."""
 
-    upper: complex
-    lower: complex
+    __slots__ = ()
 
 
 # Bound on |phi0^2 - chi0^2 - branch| in units of phi0^2 + chi0^2.
 _IDENTITY_REL_TOL = 8 * math.ulp(1.0)
 
 
-@dataclass(frozen=True)
-class ModeAmplitudes:
+class ModeAmplitudes(namedtuple("ModeAmplitudes", "phi0 chi0 branch scaled_energy")):
     """Momentum-eigenmode amplitudes (phi0, chi0) on one energy branch.
 
     ``scaled_energy`` is E_p / mc^2 = sqrt(wavenumber^2 + 1) >= 1 and
@@ -109,26 +104,23 @@ class ModeAmplitudes:
     fails.
     """
 
-    phi0: float
-    chi0: float
-    branch: int
-    scaled_energy: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.branch not in (+1, -1):
-            raise ValueError(f"branch must be +1 or -1, got {self.branch}")
-        if not (self.scaled_energy >= 1.0):
-            raise ValueError(f"scaled energy must be >= 1, got {self.scaled_energy}")
+    def __new__(cls, phi0: float, chi0: float, branch: int, scaled_energy: float):
+        if branch not in (+1, -1):
+            raise ValueError(f"branch must be +1 or -1, got {branch}")
+        if not (scaled_energy >= 1.0):
+            raise ValueError(f"scaled energy must be >= 1, got {scaled_energy}")
         # phi0^2 - chi0^2 cancels down to +-1 from squares that grow like the
         # wavenumber, so its rounding error scales with phi0^2 + chi0^2: about
         # 4 eps of it at worst from the operations in mode_amplitudes
         # (measured: at most 3.5 eps over wavenumbers 1e-8 .. 1e17).
-        scale = self.phi0**2 + self.chi0**2
-        if not (abs(self.phi0**2 - self.chi0**2 - self.branch) <= _IDENTITY_REL_TOL * scale):
+        scale = phi0**2 + chi0**2
+        if not (abs(phi0**2 - chi0**2 - branch) <= _IDENTITY_REL_TOL * scale):
             raise ValueError(
-                f"phi0^2 - chi0^2 must equal the branch {self.branch}, "
-                f"got {self.phi0**2 - self.chi0**2}"
+                f"phi0^2 - chi0^2 must equal the branch {branch}, got {phi0**2 - chi0**2}"
             )
+        return super().__new__(cls, phi0, chi0, branch, scaled_energy)
 
 
 def mode_amplitudes(wavenumber: float, branch: int) -> ModeAmplitudes:

@@ -6,7 +6,7 @@ __all__ = ["ConvergenceError", "CapacityError"]
 
 
 class ConvergenceError(RuntimeError):
-    """An iteration hit its cap before reaching its tolerance.
+    """An iteration hit its cap before its stopping rule held.
 
     Attributes
     ----------

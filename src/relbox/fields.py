@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 import numpy as np
 
@@ -22,17 +22,15 @@ from .core import BoxSpec, FVSpinor, ModeAmplitudes, QuantumNumbers, _norm_sq, m
 __all__ = list(_FIELDS_NAMES)
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(namedtuple("GridSpec", "points_per_axis")):
     """Uniform sampling grid of the closed box: points per axis, faces included."""
 
-    points_per_axis: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.points_per_axis < 3:
-            raise ValueError(
-                f"need at least 3 points per axis, got {self.points_per_axis}"
-            )
+    def __new__(cls, points_per_axis: int):
+        if points_per_axis < 3:
+            raise ValueError(f"need at least 3 points per axis, got {points_per_axis}")
+        return super().__new__(cls, points_per_axis)
 
     def axes(self, box: BoxSpec) -> tuple[np.ndarray, ...]:
         """Coordinates of the grid along each box axis, both faces included."""
@@ -48,28 +46,21 @@ class GridSpec:
         return self.points_per_axis - 1 > 2 * max(qnums.indices)
 
 
-@dataclass(frozen=True)
-class FieldSample:
+class FieldSample(namedtuple("FieldSample", "position time spinor rho current")):
     """Field values at one spacetime point: spinor, charge density, current."""
 
-    position: tuple[float, ...]
-    time: float
-    spinor: FVSpinor
-    rho: float
-    current: tuple[float, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BoxState:
+class BoxState(namedtuple("BoxState", "box qnums conjugated")):
     """Descriptor of one positive-energy box eigenstate, optionally charge
     conjugated (which flips the sign of energy, density and current)."""
 
-    box: BoxSpec
-    qnums: QuantumNumbers
-    conjugated: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        self.qnums.check_matches(self.box)
+    def __new__(cls, box: BoxSpec, qnums: QuantumNumbers, conjugated: bool = False):
+        qnums.check_matches(box)
+        return super().__new__(cls, box, qnums, conjugated)
 
     @property
     def wavenumbers(self) -> tuple[float, ...]:
@@ -121,12 +112,12 @@ class BoxState:
         upper = pref * a_up * profile * phase
         lower = pref * a_lo * profile * phase
         # Charge current from psi = upper + lower: J_k = Im(conj(psi) d_k psi).
-        psi_conj = np.conj(upper + lower)
+        psi_conj = np.conj(_component_sum(self, profile) * phase)
         current = []
         for k, x in enumerate(self.wavenumbers):
             factors = list(sines)
             factors[k] = x * np.cos(x * axes[k])
-            dpsi = pref * (a_up + a_lo) * _outer(factors) * phase
+            dpsi = _component_sum(self, _outer(factors)) * phase
             current.append(_unsigned((psi_conj * dpsi).imag))
         return FieldGrid(
             axes=axes,
@@ -152,19 +143,13 @@ class BoxState:
         )
 
 
-@dataclass(frozen=True)
-class FieldGrid:
+class FieldGrid(namedtuple("FieldGrid", "axes time upper lower rho current")):
     """Field values on the tensor grid of ``axes``: spinor components, charge
     density and current components as arrays of shape
     ``(len(axes[0]), ..., len(axes[-1]))``, C order (last axis fastest).
     Zeros are +0.0, never -0.0."""
 
-    axes: tuple[np.ndarray, ...]
-    time: float
-    upper: np.ndarray
-    lower: np.ndarray
-    rho: np.ndarray
-    current: tuple[np.ndarray, ...]
+    __slots__ = ()
 
 
 def _outer(factors) -> np.ndarray:
@@ -173,6 +158,14 @@ def _outer(factors) -> np.ndarray:
     for factor in factors[1:]:
         out = np.multiply.outer(out, factor)
     return out
+
+
+def _component_sum(state: BoxState, profile) -> np.ndarray:
+    """upper + lower on ``profile``: prefactor (phi0 + chi0) times it, with
+    phi0 + chi0 = 1 / sqrt(|E|) for a conjugated state too.  Adding the two
+    amplitudes would cancel at large wavenumbers, where each grows like
+    sqrt(|E|) and their sum rounds to 0."""
+    return state.prefactor() / math.sqrt(abs(state.scaled_energy)) * profile
 
 
 def _density(state: BoxState, profiles) -> np.ndarray:
@@ -195,7 +188,7 @@ def _unsigned(arr: np.ndarray) -> np.ndarray:
 
 def conjugated_state(state: BoxState) -> BoxState:
     """Pointwise charge conjugate of a box state (an involution)."""
-    return replace(state, conjugated=not state.conjugated)
+    return BoxState(state.box, state.qnums, not state.conjugated)
 
 
 def _simpson_weights(npoints: int, length: float) -> np.ndarray:
@@ -247,9 +240,10 @@ def stationarity_residual(
     """Largest interior-point violation of the stationary equation H psi = E psi.
 
     The Hamiltonian applies the kinetic operator to the component sum
-    (upper + lower) and adds the rest-energy term with opposite signs on the
-    two components.  The second derivative comes from the 3-point central
-    stencil, so the residual shrinks as O(h^2) under grid refinement.
+    (upper + lower, formed by ``_component_sum``) and adds the rest-energy
+    term with opposite signs on the two components.  The second derivative
+    comes from the 3-point central stencil, so the residual shrinks as
+    O(h^2) under grid refinement.
 
     ``energy`` overrides the state's own eigenvalue, useful for checking
     that the residual actually detects a wrong energy.
@@ -260,7 +254,8 @@ def stationarity_residual(
     e_val = state.scaled_energy if energy is None else float(energy)
     upper = pref * a_up * profile
     lower = pref * a_lo * profile
-    kinetic_term = -0.5 * _fd_laplacian(upper + lower, state.box, grid.points_per_axis)
+    psi = _component_sum(state, profile)
+    kinetic_term = -0.5 * _fd_laplacian(psi, state.box, grid.points_per_axis)
     res_upper = kinetic_term + _interior(upper) - e_val * _interior(upper)
     res_lower = -kinetic_term - _interior(lower) - e_val * _interior(lower)
     return float(max(np.max(np.abs(res_upper)), np.max(np.abs(res_lower))))

@@ -15,7 +15,7 @@ Compton units; see :mod:`relbox.core`.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from collections.abc import Callable
 
 from .core import BoxSpec, QuantumNumbers, dispersion
 from .errors import CapacityError, ConvergenceError

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .core import BoxSpec, QuantumNumbers, dispersion
 from .errors import CapacityError
@@ -53,8 +53,7 @@ DEFAULT_LATTICE_MAX_1D = 100_000
 DEFAULT_LATTICE_MAX_3D = 64
 
 
-@dataclass(frozen=True)
-class Level:
+class Level(namedtuple("Level", "model qnums wavenumbers kinetic degeneracy also")):
     """One solved energy level.
 
     ``qnums`` is the canonical representative (sorted ascending on cubes);
@@ -62,42 +61,38 @@ class Level:
     (equal-energy) merge and is almost always empty.
     """
 
-    model: str
-    qnums: QuantumNumbers
-    wavenumbers: tuple[float, ...]
-    kinetic: float
-    degeneracy: int
-    also: tuple[QuantumNumbers, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}")
-        if not self.kinetic >= 0.0:
-            raise ValueError(f"kinetic energy must be >= 0, got {self.kinetic}")
-        if self.degeneracy < 1:
+    def __new__(cls, model: str, qnums: QuantumNumbers, wavenumbers: tuple[float, ...],
+                kinetic: float, degeneracy: int, also: tuple[QuantumNumbers, ...] = ()):
+        if model not in MODELS:
+            raise ValueError(f"unknown model {model!r}")
+        if not kinetic >= 0.0:
+            raise ValueError(f"kinetic energy must be >= 0, got {kinetic}")
+        if degeneracy < 1:
             raise ValueError("degeneracy must be >= 1")
+        return super().__new__(cls, model, qnums, wavenumbers, kinetic, degeneracy, also)
 
 
-@dataclass(frozen=True)
-class SpectrumRequest:
+class SpectrumRequest(
+    namedtuple("SpectrumRequest", "model box count max_kinetic spin_counting")
+):
     """What to enumerate: either the first ``count`` levels or everything
     with kinetic energy at most ``max_kinetic``."""
 
-    model: str
-    box: BoxSpec
-    count: int | None = None
-    max_kinetic: float | None = None
-    spin_counting: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}")
-        if (self.count is None) == (self.max_kinetic is None):
+    def __new__(cls, model: str, box: BoxSpec, count: int | None = None,
+                max_kinetic: float | None = None, spin_counting: bool = False):
+        if model not in MODELS:
+            raise ValueError(f"unknown model {model!r}")
+        if (count is None) == (max_kinetic is None):
             raise ValueError("set exactly one of count / max_kinetic")
-        if self.count is not None and self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
-        if self.max_kinetic is not None and not (self.max_kinetic > 0.0):
-            raise ValueError(f"max_kinetic must be > 0, got {self.max_kinetic}")
+        if count is not None and count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
+        if max_kinetic is not None and not (max_kinetic > 0.0):
+            raise ValueError(f"max_kinetic must be > 0, got {max_kinetic}")
+        return super().__new__(cls, model, box, count, max_kinetic, spin_counting)
 
 
 def _norm_sq_budget(model: str, kinetic: float) -> float:
@@ -394,7 +389,8 @@ def _enumerate_1d(request: SpectrumRequest) -> list[Level]:
             lattice_max=cap,
         )
     spin = _spin_factor(model, request.spin_counting)
-    return [replace(level_1d(model, n, length), degeneracy=spin) for n in range(1, last + 1)]
+    # a level's first four fields: model, qnums, wavenumbers, kinetic
+    return [Level(*level_1d(model, n, length)[:4], spin) for n in range(1, last + 1)]
 
 
 def _cubic_multiplicity(triple: tuple[int, int, int]) -> int:
@@ -483,11 +479,9 @@ def _merge_equal_energies(entries) -> list[Level]:
             merged[-1].kinetic, base.kinetic, rel_tol=MERGE_REL_TOL, abs_tol=0.0
         ):
             prev = merged[-1]
-            merged[-1] = replace(
-                prev, degeneracy=prev.degeneracy + degeneracy, also=prev.also + (base.qnums,)
-            )
+            merged[-1] = Level(*prev[:4], prev.degeneracy + degeneracy, prev.also + (base.qnums,))
         else:
-            merged.append(replace(base, degeneracy=degeneracy, also=()))
+            merged.append(Level(*base[:4], degeneracy))
     return merged
 
 

@@ -151,15 +151,16 @@ def _run_python(*args):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    """Neither scipy nor click is imported with the CLI."""
-    code = ("import relbox.cli, sys; assert not any("
-            "m.partition('.')[0] in ('scipy', 'click') for m in sys.modules)")
+    """Neither scipy, click, dataclasses nor inspect is imported with the CLI."""
+    code = ("import relbox.cli, sys; assert not any(m.partition('.')[0] in "
+            "('scipy', 'click', 'dataclasses', 'inspect') for m in sys.modules)")
     done = _run_python("-c", code)
     assert done.returncode == 0, done.stderr
 
 
 def test_spectrum_count_and_version_leave_numpy_unloaded():
-    """Only ``field`` loads numpy and ``relbox.fields``; no command needs click."""
+    """Only ``field`` loads numpy and ``relbox.fields``; no command needs click,
+    and none loads dataclasses (numpy itself loads inspect)."""
     code = (
         "import sys\n"
         "sys.modules['click'] = None  # any import of click now fails\n"
@@ -173,8 +174,10 @@ def test_spectrum_count_and_version_leave_numpy_unloaded():
         "             ['count', '--dim', '1', '--tmax', '5'], ['--version']):\n"
         "    assert run(args) in (None, 0)\n"
         "assert 'numpy' not in sys.modules and 'relbox.fields' not in sys.modules\n"
+        "assert 'dataclasses' not in sys.modules and 'inspect' not in sys.modules\n"
         "assert run(['field', '--n', '1', '--lc', '1']) is None\n"
         "assert 'numpy' in sys.modules and 'relbox.fields' in sys.modules\n"
+        "assert 'dataclasses' not in sys.modules\n"
         "print('all commands ran')\n"
     )
     done = _run_python("-c", code)

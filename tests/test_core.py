@@ -1,19 +1,30 @@
-"""Amplitude algebra, dispersion relations and charge conjugation."""
+"""Amplitude algebra, dispersion relations, charge conjugation and the
+value types' contract."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from relbox import (
     BoxSpec,
+    BoxState,
+    FieldGrid,
+    FieldSample,
     FVSpinor,
+    GridSpec,
+    Level,
     ModeAmplitudes,
     QuantumNumbers,
+    SpectrumRequest,
     charge_conjugate,
     dispersion,
+    enumerate_levels,
+    level_1d,
     mode_amplitudes,
 )
+from relbox.spectra import _merge_equal_energies
 
 # Direct high-precision evaluation of the amplitude formulas at
 # wavenumber 1 on the negative branch: eps = sqrt(2),
@@ -181,3 +192,71 @@ def test_dispersion_past_the_float_range(wavenumbers):
     gives NaN for the relativistic energy and +inf for the quadratic one."""
     assert math.isnan(dispersion("kg", wavenumbers))
     assert dispersion("nonrel", wavenumbers) == math.inf
+
+
+_BOX = BoxSpec((1.0, 2.0, 3.0))
+_QNUMS = QuantumNumbers((1, 2, 3))
+_SPINOR = FVSpinor(upper=1 + 2j, lower=0.5 - 1j)
+_AXIS = np.array([0.0, 0.5, 1.0])
+_AMPS = mode_amplitudes(1.0, -1)
+
+# Each value type with every field by keyword, in field order, already in
+# normal form (so the repr shows them as given).
+VALUE_TYPES = [
+    (BoxSpec, dict(lengths=(1.0, 2.0, 3.0))),
+    (QuantumNumbers, dict(indices=(1, 2, 3))),
+    (FVSpinor, dict(upper=1 + 2j, lower=0.5 - 1j)),
+    (ModeAmplitudes, dict(phi0=_AMPS.phi0, chi0=_AMPS.chi0, branch=-1,
+                          scaled_energy=_AMPS.scaled_energy)),
+    (Level, dict(model="kg", qnums=_QNUMS, wavenumbers=(1.0, 2.0, 3.0), kinetic=2.75,
+                 degeneracy=6, also=(QuantumNumbers((3, 3, 3)),))),
+    (SpectrumRequest, dict(model="dirac", box=_BOX, count=None, max_kinetic=5.0,
+                           spin_counting=True)),
+    (GridSpec, dict(points_per_axis=5)),
+    (FieldSample, dict(position=(0.5,), time=0.0, spinor=_SPINOR, rho=2.0, current=(0.0,))),
+    (BoxState, dict(box=_BOX, qnums=_QNUMS, conjugated=True)),
+    (FieldGrid, dict(axes=(_AXIS,), time=0.0, upper=_AXIS, lower=_AXIS, rho=_AXIS,
+                     current=(_AXIS,))),
+]
+
+
+@pytest.mark.parametrize("cls, fields", VALUE_TYPES, ids=[cls.__name__ for cls, _ in VALUE_TYPES])
+def test_value_type_contract(cls, fields):
+    """Immutable, equal and equally hashed when built from equal fields, and
+    shown as ``Name(field=value, ...)``."""
+    value = cls(**fields)
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    again = cls(**fields)
+    assert again == value and again is not value
+    if cls is FieldGrid:  # numpy arrays are unhashable, and so is a value holding them
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(again) == hash(value)
+    shown = ", ".join(f"{name}={field!r}" for name, field in fields.items())
+    assert repr(value) == f"{cls.__name__}({shown})"
+
+
+def test_rebuilt_levels_carry_degeneracy_and_merged_representatives():
+    """The two places that rebuild a level from another: an accidental merge
+    (on the unit cube, (1, 1, 5) and (3, 3, 3) share |n|^2 = 27) and the
+    spin-weighted 1D enumeration."""
+    cube = BoxSpec.cube(1.0)
+    levels = enumerate_levels(SpectrumRequest("kg", cube, count=14))
+    merged = levels[13]
+    assert merged.qnums == QuantumNumbers((1, 1, 5))
+    assert (merged.degeneracy, merged.also) == (4, (QuantumNumbers((3, 3, 3)),))
+    assert merged.kinetic == dispersion("kg", merged.wavenumbers)
+    assert all(lv.also == () for lv in levels[:13])
+    base = Level("kg", QuantumNumbers((1, 1, 5)), merged.wavenumbers, merged.kinetic, 1)
+    other = Level("kg", QuantumNumbers((3, 3, 3)), merged.wavenumbers, merged.kinetic, 1)
+    assert _merge_equal_energies([(base, 3), (other, 1)]) == [merged]
+    weighted = enumerate_levels(SpectrumRequest("dirac", BoxSpec((1.0,)), count=3,
+                                                spin_counting=True))
+    for n, level in enumerate(weighted, start=1):
+        plain = level_1d("dirac", n, 1.0)
+        assert (level.degeneracy, level.also) == (2, ())
+        assert (level.model, level.qnums, level.wavenumbers, level.kinetic) == (
+            plain.model, plain.qnums, plain.wavenumbers, plain.kinetic)

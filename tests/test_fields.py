@@ -235,6 +235,27 @@ def test_stationarity_second_order_3d():
     assert 3.5 <= coarse / fine <= 4.5
 
 
+@pytest.mark.parametrize("conjugated", [False, True])
+@pytest.mark.parametrize("length", [1e-16, 1e-13, 1e-11])
+@pytest.mark.parametrize("indices", [(1,), (1, 2, 3)], ids=["1d", "3d"])
+def test_stationarity_residual_matches_closed_form_in_tiny_boxes(indices, length, conjugated):
+    """The 3-point stencil maps a product of sines to itself with eigenvalue
+    sum(4 / h^2 sin^2(x h / 2)) instead of |x|^2, so the largest residual is
+    half that gap times prefactor |phi0 + chi0| = prefactor / sqrt(|E|)
+    times the largest interior |profile|.  In tiny boxes the amplitudes
+    grow like sqrt(|E|) and their sum cancels; the residual must not."""
+    dim, grid = len(indices), 2 * max(indices) + 3  # the coarsest resolving grid
+    state = BoxState(BoxSpec((length,) * dim), QuantumNumbers(indices), conjugated)
+    xs = [n * math.pi / length for n in indices]
+    h = length / (grid - 1)
+    gap = math.fsum(4.0 / h / h * math.sin(x * h / 2.0) ** 2 - x * x for x in xs)
+    peak = math.prod(max(abs(math.sin(x * k * h)) for k in range(1, grid - 1)) for x in xs)
+    energy = math.sqrt(math.fsum(x * x for x in xs) + 1.0)
+    expected = 0.5 * abs(gap) * math.sqrt(2.0**dim / length**dim) / math.sqrt(energy) * peak
+    residual = stationarity_residual(state, GridSpec(grid))
+    assert residual == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 def test_stationarity_detects_wrong_energy():
     grid = GridSpec(201)
     residual = stationarity_residual(

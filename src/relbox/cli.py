@@ -1,12 +1,17 @@
 """Command-line front end: spectrum tables, state counting, field sampling.
 
 Three subcommands (``spectrum``, ``count``, ``field``) emit deterministic
-CSV or JSON.  Floats are serialized with 17 significant digits so repeated
-runs are byte-identical and values survive a parse round trip.  Exit codes:
-0 success, 2 bad usage, 3 solver failure, 4 capacity exceeded (for
-``count``: a 3D spin-1/2 solve needed beyond the lattice bound, or a 1D count
-beyond float64 resolution; for ``spectrum`` and ``count``: a kinetic energy
-beyond the float64 range; for ``field``: a grid too large for memory).
+CSV or JSON.  Floats are serialized with 17 significant digits in CSV and in
+their shortest round-trip form (``repr``) in JSON, so repeated runs are
+byte-identical and values survive a parse round trip.  A table of more than
+one block of rows with cells still to convert is formatted on the CPUs the
+process may use, by forked workers, into the same bytes for any number of
+CPUs.  Exit codes: 0 success, 2 bad usage, 3 solver failure, 4 capacity
+exceeded (for ``count``: a 3D spin-1/2 solve needed beyond the lattice
+bound, or a 1D count beyond float64 resolution; for ``spectrum`` and
+``count``: a kinetic energy beyond the float64 range; for every command:
+running out of memory, or a row-formatting worker that failed or was
+killed).
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 from collections.abc import Iterator
 
@@ -123,8 +129,17 @@ def _format_rows(table: dict, nrows: int, fmt: str) -> Iterator[str]:
     """The rows of ``table`` through one printf row template, a block of
     ``_BLOCK_ROWS`` rows at a time: pieces that join to the CSV body or to
     the items of the JSON ``rows`` list.  The columns are analysed at the
-    call, before the first block is formatted."""
+    call, before the first block is formatted.
+
+    Where a column still has cells to convert (a ``%r``, ``%.17g`` or
+    ``%d`` conversion), the blocks are split into contiguous ranges, one per
+    CPU the process may use, and formatted by ``_gather``.  A table whose
+    cells are all formatted strings (the 3D ``field`` tables) is joined by
+    this process alone: there a worker saves less time than forking it and
+    copying its text out cost.
+    """
     specs, cells = zip(*(_column(values, fmt) for values in table.values()))
+    converts = any(spec != "%s" for spec, c in zip(specs, cells) if c is not None)
     cells = [c for c in cells if c is not None]
     if fmt == "csv":
         sep, row = "\n", ",".join(specs)
@@ -145,7 +160,81 @@ def _format_rows(table: dict, nrows: int, fmt: str) -> Iterator[str]:
         template = full if stop - start == size else sep.join([row] * (stop - start))
         return (sep if start else "") + template % tuple(flat)
 
-    return map(block, range(0, nrows, size))
+    starts = range(0, nrows, size)
+    count = min(_cpus() if converts else 1, len(starts))
+    ranges = [starts[i * len(starts) // count:(i + 1) * len(starts) // count]
+              for i in range(count)]
+    return _gather(block, ranges)
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on; 1 where it cannot tell, or cannot
+    fork a worker into an anonymous memory file."""
+    if not all(hasattr(os, name) for name in ("fork", "memfd_create", "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+# Characters of a worker's text copied out at a time.
+_COPY_CHARS = 1 << 20
+
+
+def _gather(block, ranges) -> Iterator[str]:
+    """``block(start)`` for every start of every range, in order.
+
+    The first range is formatted here, as its pieces are read; each later
+    range by a forked worker (``_fork``), whose text is copied out once the
+    worker has exited with status 0.  A worker that failed or was killed
+    raises MemoryError before any of its text is copied.  On any exception,
+    and when the generator is closed early, every worker not yet reaped is
+    killed and reaped before the generator ends.
+    """
+    workers = []
+    try:
+        for starts in ranges[1:]:
+            workers.append(_fork(block, starts))
+        yield from map(block, ranges[0])
+        while workers:
+            pid, text = workers[0]
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del workers[0]
+            with text:
+                if status:
+                    end = (f"was killed by signal {-status}" if status < 0
+                           else f"exited with status {status}")
+                    raise MemoryError(f"a row-formatting worker {end}")
+                text.seek(0)
+                yield from iter(lambda: text.read(_COPY_CHARS), "")
+    finally:
+        for pid, text in workers:
+            import signal  # loaded only where a worker is left to kill
+
+            text.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _fork(block, starts):
+    """(pid, text): a forked worker that writes ``block(start)`` for each of
+    ``starts`` into an anonymous memory file, and that file opened for
+    reading as UTF-8 text.  The worker ends through ``os._exit`` on every
+    path, with status 0 once its text is written: it never flushes the
+    buffers or runs the exit handlers it inherited."""
+    text = open(os.memfd_create("relbox-rows"), encoding="utf-8", newline="")
+    try:
+        pid = os.fork()
+    except BaseException:
+        text.close()
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            with open(text.fileno(), "w", encoding="utf-8", newline="", closefd=False) as sink:
+                sink.writelines(map(block, starts))
+            status = 0
+        finally:
+            os._exit(status)
+    return pid, text
 
 
 def _render(table: dict, config, summary, fmt: str) -> Iterator[str]:
@@ -153,29 +242,41 @@ def _render(table: dict, config, summary, fmt: str) -> Iterator[str]:
     and summary, as pieces of text: in JSON exactly as
     ``json.dumps(payload, indent=2)`` writes the payload, in CSV ``#``
     summary lines, the header and ``_fmt`` cells.  The columns are
-    analysed at the call; the rows are formatted as the pieces are read."""
+    analysed at the call; the rows are formatted as the pieces are read,
+    and closing the pieces closes the rows' generator."""
     nrows = len(next(iter(table.values()), ()))
     body = _format_rows(table, nrows, fmt) if nrows else ()
     if fmt == "json":
         head = f'{{\n  "config": {_json(config, 1)},\n  "rows": ' + ("[\n" if nrows else "[]")
         tail = ("\n  ]" if nrows else "") + f',\n  "summary": {_json(summary, 1)}\n}}\n'
-        return itertools.chain((head,), body, (tail,))
-    lines = [f"# {key}={_fmt(value)}" for key, value in (summary or {}).items()]
-    if nrows:
-        lines.append(",".join(table))
-    return itertools.chain(("\n".join(lines) + ("\n" if nrows else ""),), body, ("\n",))
+    else:
+        lines = [f"# {key}={_fmt(value)}" for key, value in (summary or {}).items()]
+        if nrows:
+            lines.append(",".join(table))
+        head, tail = "\n".join(lines) + ("\n" if nrows else ""), "\n"
+
+    def pieces():
+        yield head
+        yield from body
+        yield tail
+
+    return pieces()
 
 
 def _emit(table: dict, config, summary, args) -> None:
     # ``_render`` analyses the columns, where a large table's memory goes,
     # before ``--out`` is opened or anything is written: running out of
-    # memory there leaves no partial output.
+    # memory there leaves no partial output.  Closing the pieces on the way
+    # out ends any row-formatting workers before an exception propagates.
     pieces = _render(table, config, summary, args.fmt)
-    if args.out is None:
-        sys.stdout.writelines(pieces)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.writelines(pieces)
+    try:
+        if args.out is None:
+            sys.stdout.writelines(pieces)
+        else:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+                handle.writelines(pieces)
+    finally:
+        pieces.close()
 
 
 def _fail(code: int, message: str):
@@ -314,6 +415,9 @@ def _field(args) -> None:
     stationarity residual.  In CSV the summary appears as leading '#'
     comment lines.  The grid must put more than two intervals on every
     half-wavelength (grid - 1 > 2 n_i), where the quadrature stops aliasing.
+    A table of more than 8192 rows with floats still to format (every 1D
+    table) is formatted on every CPU the process may use, into the same
+    rows for any CPU count ('taskset -c 0' gives one CPU).
     """
     import numpy as np
 
@@ -449,7 +553,10 @@ def main(args=None, prog_name: str = "relbox", standalone_mode: bool = True) -> 
     namespace, unknown = _parser(prog_name).parse_known_args(args)
     if unknown:
         namespace.error(f"unrecognized arguments: {' '.join(unknown)}")
-    namespace.run(namespace)
+    try:
+        namespace.run(namespace)
+    except MemoryError as exc:
+        _fail(4, f"out of memory ({exc})")
 
 
 # ``relbox.cli.cli.main`` is ``main``: the name in-process callers such as

@@ -240,20 +240,13 @@ def _count_3d(model: str, box: BoxSpec, max_kinetic: float) -> int:
 
 def _lattice_walk(model: str, box: BoxSpec):
     """``walk(threshold, limit)``: ``_split_lattice`` with each shell triple
-    replaced by its level, solved once across calls; a spin-1/2 triple with
-    an index above ``DEFAULT_LATTICE_MAX_3D`` raises CapacityError."""
-    cap = DEFAULT_LATTICE_MAX_3D
+    replaced by its level, solved once across calls."""
     solved: dict[tuple[int, int, int], Level] = {}
 
     def walk(threshold: float, limit: float):
         inside, shell = _split_lattice(model, box, threshold, limit)
         for triple, _ in shell:
             if triple not in solved:
-                if model == "dirac" and max(triple) > cap:
-                    raise CapacityError(
-                        f"3D count needs spin-1/2 solves above the lattice bound {cap}",
-                        lattice_max=cap,
-                    )
                 solved[triple] = level_3d(model, QuantumNumbers(triple), box)
         return inside, [(solved[triple], weight) for triple, weight in shell]
 
@@ -267,7 +260,10 @@ def _split_lattice(model: str, box: BoxSpec, threshold: float, limit: float):
     only sorted triples n1 <= n2 <= n3, each weighted by its 1, 3 or 6
     permutations.  A column's interior is every n3 up to one floor of the
     spin-0 budget left at ``threshold``; its shell goes on from there while
-    lo <= limit, tested in the arithmetic enumeration uses.
+    lo <= limit, tested in the arithmetic enumeration uses.  A spin-1/2
+    shell triple with an index above ``DEFAULT_LATTICE_MAX_3D`` raises
+    CapacityError as the walk reaches it, before the rest of the shell is
+    listed: no triple past the cap is solved.
 
     An overflowing lower bound (+inf) lies above ``limit`` only where the
     budget at ``limit`` is finite, so a ``limit`` whose budget overflows is
@@ -275,6 +271,7 @@ def _split_lattice(model: str, box: BoxSpec, threshold: float, limit: float):
     """
     lengths = box.lengths
     cube = box.is_cube
+    cap = DEFAULT_LATTICE_MAX_3D
     if _norm_sq_budget(model, limit) == math.inf:
         raise CapacityError(f"|x|^2 at kinetic energy {limit} overflows float64")
     budget = _norm_sq_budget(model, threshold)
@@ -294,6 +291,11 @@ def _split_lattice(model: str, box: BoxSpec, threshold: float, limit: float):
                 )
             n3 = max(last + 1, first)
             while _lower_bound(model, (n1, n2, n3), lengths) <= limit:
+                if model == "dirac" and max(n1, n2, n3) > cap:
+                    raise CapacityError(
+                        f"3D count needs spin-1/2 solves above the lattice bound {cap}",
+                        lattice_max=cap,
+                    )
                 shell.append(((n1, n2, n3), _cubic_multiplicity((n1, n2, n3)) if cube else 1))
                 n3 += 1
             n2 += 1

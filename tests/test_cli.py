@@ -143,11 +143,12 @@ def test_figure_tables_match_reference_bytes(dim, fmt):
     assert result.stdout_bytes == expected
 
 
-def _run_python(*args):
+def _run_python(*args, timeout=60, preexec_fn=None):
     """A fresh interpreter, run with ``args``, that imports relbox from ``src/``."""
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=timeout,
+                          preexec_fn=preexec_fn)
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -362,6 +363,25 @@ def test_count_capacity_exit_code_only_for_spin_half_shell_solves():
                     "--tmax", "300")
     assert result.exit_code == 4
     assert "lattice bound" in result.stderr
+
+
+@pytest.mark.parametrize("tmax", ["30000", "1e12"])
+def test_count_far_past_the_lattice_bound_is_refused_at_once(tmax):
+    """A 3D spin-1/2 count whose shell lies far past the lattice bound is
+    refused at the first shell mode past it, not after listing the whole
+    shell (which ran for minutes and grew to gigabytes at ``--tmax 1e12``):
+    exit 4 within seconds, inside a 1 GB address space."""
+    resource = pytest.importorskip("resource")
+    limit = 1 << 30
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    done = _run_python("-m", "relbox", "count", "--dim", "3", "--lc", "1", "--tmax", tmax,
+                       "--model", "dirac", timeout=10, preexec_fn=cap_address_space)
+    assert done.returncode == 4, done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "lattice bound 64" in done.stderr
 
 
 def test_count_1d_beyond_float64_resolution_exit_code():
@@ -642,3 +662,148 @@ def test_render_field_tables_of_the_workload_shapes(monkeypatch, args, fmt):
     else:
         payload = {"config": config, "rows": rows, "summary": summary}
         assert result.stdout == json.dumps(payload, indent=2) + "\n"
+
+
+# Field tables of many blocks, as (arguments, whether rows are formatted by
+# workers).  The 3D CSV table has only formatted strings left in its cells
+# (every column has few distinct values), so it is joined in one process.
+MULTI_BLOCK_FIELDS = {
+    "1d-json-13-blocks": (("--dim", "1", "--n", "3", "--grid", "100001", "--format", "json"),
+                          True),
+    "3d-csv-9-blocks": (("--dim", "3", "--n", "1,2,3", "--grid", "41"), False),
+    "1d-csv-conjugate": (("--dim", "1", "--n", "7", "--grid", "100001", "--conjugate"), True),
+    "1d-json-2-blocks-and-1-row": (("--dim", "1", "--n", "2", "--grid", str(2 * 8192 + 1),
+                                    "--format", "json"), True),
+}
+
+
+def _affinity(monkeypatch, cpus: int):
+    """Pretend the process may run on ``cpus`` CPUs; returns the list of
+    worker pids that ``os.fork`` hands back to the process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forked, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forked
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("case", MULTI_BLOCK_FIELDS)
+def test_field_bytes_do_not_depend_on_the_cpu_count(monkeypatch, tmp_path, case):
+    """1, 2 and 3 CPUs write the same bytes, to stdout and to ``--out``; a
+    table with floats to format forks one worker per CPU past the first, and
+    every worker is reaped by the time the command returns."""
+    args, forks = MULTI_BLOCK_FIELDS[case]
+    assert cli._BLOCK_ROWS == 8192
+    outputs = {}
+    for cpus in (1, 2, 3):
+        forked = _affinity(monkeypatch, cpus)
+        result = invoke("field", *args, "--lc", "1")
+        assert result.exit_code == 0 and result.stderr == ""
+        out = tmp_path / f"field-{cpus}.txt"
+        assert invoke("field", *args, "--lc", "1", "--out", str(out)).exit_code == 0
+        assert out.read_bytes() == result.stdout_bytes
+        assert len(forked) == (2 * (cpus - 1) if forks else 0)
+        _assert_no_child_left()
+        outputs[cpus] = result.stdout_bytes
+    assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
+
+
+def _broken_child_formatting():
+    """Formatting fails in the child: ``block`` looks ``itertools`` up at call time."""
+    cli.itertools = None
+
+
+def _killed_child():
+    import signal
+
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("child", [_broken_child_formatting, _killed_child])
+@pytest.mark.parametrize("args", [
+    ("field", "--dim", "1", "--n", "3", "--lc", "1", "--grid", "100001", "--format", "json"),
+    ("spectrum", "--dim", "1", "--model", "kg", "--lc", "1", "--levels", "9000"),
+], ids=["field-1d-json", "spectrum-9000-rows"])
+def test_failed_row_worker_fails_the_command(monkeypatch, tmp_path, child, args):
+    """A worker that fails or is killed makes the command exit 4 with one
+    error line, never 0 with truncated output, and leaves no process behind."""
+    _affinity(monkeypatch, 2)
+    fork = os.fork
+
+    def failing_fork():
+        pid = fork()
+        if pid == 0:
+            child()
+        return pid
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    result = invoke(*args)
+    assert result.exit_code == 4
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "row-formatting worker" in result.stderr
+    _assert_no_child_left()
+
+
+class _ClosingStdout:
+    """A stdout that takes the first two pieces written, then fails."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def writelines(self, pieces):
+        next(pieces), next(pieces)
+        raise self.error
+
+
+@pytest.mark.parametrize("error", [BrokenPipeError, KeyboardInterrupt])
+def test_workers_are_reaped_before_a_write_error_propagates(monkeypatch, error):
+    """An exception while the table is written kills and reaps every worker
+    before it leaves ``main``: while the traceback, and so the unfinished
+    row generator, is still alive."""
+    forked = _affinity(monkeypatch, 3)
+    monkeypatch.setattr(sys, "stdout", _ClosingStdout(error))
+    with pytest.raises(error) as raised:
+        cli.main(["field", "--dim", "1", "--n", "3", "--lc", "1", "--grid", "100001"])
+    assert len(forked) == 2 and raised.traceback
+    _assert_no_child_left()
+
+
+# The figure tables of the benchmark's ``count`` workload, as captured in
+# ``perfbench/reference``.
+FIGURE_TABLES = {
+    "spectrum_dim1.csv": ("spectrum", "--dim", "1", "--model", "all", "--lc", "1,10,100,300",
+                          "--levels", "4"),
+    "spectrum_dim1.json": ("spectrum", "--dim", "1", "--model", "all", "--lc", "1,10,100,300",
+                           "--levels", "4", "--format", "json"),
+    "spectrum_dim3.csv": ("spectrum", "--dim", "3", "--model", "all", "--lc", "1,10,100,300",
+                          "--levels", "4"),
+    "spectrum_dim3.json": ("spectrum", "--dim", "3", "--model", "all", "--lc", "1,10,100,300",
+                           "--levels", "4", "--format", "json"),
+    "count_dim3_lc0.5.csv": ("count", "--dim", "3", "--lc", "0.5", "--tmax", "25"),
+}
+
+
+@pytest.mark.parametrize("name", FIGURE_TABLES)
+def test_figure_tables_never_fork(monkeypatch, name):
+    """Tables of one block are formatted in the process: with 3 CPUs and an
+    ``os.fork`` that raises, the figure tables keep their reference bytes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+    def no_fork():
+        raise AssertionError("a one-block table forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    result = invoke(*FIGURE_TABLES[name])
+    assert result.exit_code == 0
+    assert result.stdout_bytes == (REFERENCE_DIR / name).read_bytes()

@@ -6,12 +6,12 @@ their shortest round-trip form (``repr``) in JSON, so repeated runs are
 byte-identical and values survive a parse round trip.  A table of more than
 one block of rows with cells still to convert is formatted on the CPUs the
 process may use, by forked workers, into the same bytes for any number of
-CPUs.  Exit codes: 0 success, 2 bad usage, 3 solver failure, 4 capacity
-exceeded (for ``count``: a 3D spin-1/2 solve needed beyond the lattice
-bound, or a 1D count beyond float64 resolution; for ``spectrum`` and
-``count``: a kinetic energy beyond the float64 range; for every command:
-running out of memory, or a row-formatting worker that failed or was
-killed).
+CPUs.  Exit codes, all chosen by ``main``: 0 success, 1 output not
+written (an unwritable ``--out``; a closed stdout pipe, silently), 2 bad
+usage, 3 solver failure, 4 capacity exceeded (a lattice bound, float64
+resolution or the float64 range passed; a ``field`` grid too large to
+allocate; running out of memory; a row-formatting worker that failed or
+was killed).
 """
 
 from __future__ import annotations
@@ -272,6 +272,7 @@ def _emit(table: dict, config, summary, args) -> None:
     try:
         if args.out is None:
             sys.stdout.writelines(pieces)
+            sys.stdout.flush()  # a closed pipe fails here, inside main, not at exit
         else:
             with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
                 handle.writelines(pieces)
@@ -329,16 +330,6 @@ def _boxes(args, dim: int, lc) -> list:
     return [(v, BoxSpec.cube(v, dim=args.dim)) for v in sorted(set(args.lc))]
 
 
-def _run_guarded(fn):
-    try:
-        return fn()
-    except CapacityError as exc:
-        bound = f" (lattice bound {exc.lattice_max})" if exc.lattice_max else ""
-        _fail(4, f"{exc}{bound}")
-    except ConvergenceError as exc:
-        _fail(3, str(exc))
-
-
 def _spectrum(args) -> None:
     """Tabulate energy levels: the data behind the comparison figures.
 
@@ -357,9 +348,7 @@ def _spectrum(args) -> None:
         args.error("Invalid value for '--tmax': must be > 0.")
     boxes = _boxes(args, dim=1, lc=(1.0, 10.0, 100.0, 300.0))
     models = _expand_models(args.model)
-    table = _run_guarded(
-        lambda: spectrum_table(models, boxes, levels, tmax, args.spin_counting)
-    )
+    table = spectrum_table(models, boxes, levels, tmax, args.spin_counting)
     table = annotate_units(table, args.preset)
     config = {
         "command": "spectrum",
@@ -385,9 +374,7 @@ def _count(args) -> None:
         args.error("Invalid value for '--tmax': must be > 0 and finite.")
     boxes = _boxes(args, dim=3, lc=(1.0,))
     runs = [(m, cell, box) for m in _expand_models(args.model) for cell, box in boxes]
-    counts = _run_guarded(
-        lambda: [count_states(m, box, tmax, args.spin_counting) for m, _, box in runs]
-    )
+    counts = [count_states(m, box, tmax, args.spin_counting) for m, _, box in runs]
     table = {
         "model": [m for m, _, _ in runs],
         "dim": [args.dim] * len(runs),
@@ -479,7 +466,7 @@ def _field(args) -> None:
         table, summary = build()
         _emit(table, config, summary, args)
     except MemoryError as exc:
-        _fail(4, f"a grid of {grid} points per axis does not fit in memory ({exc})")
+        raise CapacityError(f"a grid of {grid} points per axis does not fit in memory ({exc})")
 
 
 def _parser(prog: str) -> argparse.ArgumentParser:
@@ -544,19 +531,34 @@ def _parser(prog: str) -> argparse.ArgumentParser:
 def main(args=None, prog_name: str = "relbox", standalone_mode: bool = True) -> None:
     """Run one ``relbox`` command line (``sys.argv[1:]`` when ``args`` is None).
 
-    Success returns None; ``--help`` and ``--version`` exit 0, usage errors
-    2, solver failures 3 and capacity refusals 4, all by ``SystemExit``.
-    ``standalone_mode`` selects nothing: it keeps the keyword call shape
-    ``cli.main(args=..., prog_name=..., standalone_mode=...)`` that in-process
-    callers such as ``perfbench/trace.py`` use.
+    Success returns None; every failure ends in ``SystemExit``.  argparse
+    exits 0 (``--help``, ``--version``) or 2 (bad usage); the ladder below
+    alone maps each other failure to its code (see the module docstring)
+    and writes one ``error: ...`` line; a closed stdout pipe exits 1
+    silently.  ``standalone_mode`` selects nothing: it keeps the keyword
+    call shape ``cli.main(args=..., prog_name=..., standalone_mode=...)``
+    that in-process callers such as ``perfbench/trace.py`` use.
     """
     namespace, unknown = _parser(prog_name).parse_known_args(args)
     if unknown:
         namespace.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         namespace.run(namespace)
+    except ConvergenceError as exc:
+        _fail(3, str(exc))
+    except CapacityError as exc:
+        _fail(4, str(exc))
     except MemoryError as exc:
         _fail(4, f"out of memory ({exc})")
+    except BrokenPipeError:
+        try:  # the null device takes the flush at exit; an in-process stream has no fd
+            stdout = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stdout)
+        except (AttributeError, OSError, ValueError):
+            pass
+        sys.exit(1)
+    except OSError as exc:
+        _fail(1, str(exc))
 
 
 # ``relbox.cli.cli.main`` is ``main``: the name in-process callers such as

@@ -227,9 +227,7 @@ def normalization_check(state: BoxState, grid: GridSpec) -> float:
         )
     rho = _density(state, _sine_profiles(state, grid.axes(state.box)))
     weights = [_simpson_weights(grid.points_per_axis, length) for length in state.box.lengths]
-    if state.box.dimension == 1:
-        return float(np.dot(weights[0], rho))
-    return float(np.einsum("i,j,k,ijk->", weights[0], weights[1], weights[2], rho))
+    return float(np.sum(_outer(weights) * rho))  # fixed order: BLAS's follows its threads
 
 
 def stationarity_residual(

@@ -216,7 +216,7 @@ def _count_1d(model: str, length: float, max_kinetic: float) -> int:
     edge += 0.5 if model == "dirac" else 0.0
     if not edge < _MAX_1D_INDEX:
         raise CapacityError(
-            "1D count needs indices beyond float64 resolution", lattice_max=_MAX_1D_INDEX
+            "1D count needs indices above 2**53 (float64 resolution)", lattice_max=_MAX_1D_INDEX
         )
     lo = math.floor(length * math.sqrt(budget) / math.pi)
     hi = math.floor(edge) + 2  # one more than a rounding slip of edge can reach

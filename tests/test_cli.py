@@ -143,12 +143,16 @@ def test_figure_tables_match_reference_bytes(dim, fmt):
     assert result.stdout_bytes == expected
 
 
+def _src_env():
+    """The environment of a fresh interpreter that imports relbox from ``src/``."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def _run_python(*args, timeout=60, preexec_fn=None):
     """A fresh interpreter, run with ``args``, that imports relbox from ``src/``."""
-    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=timeout,
-                          preexec_fn=preexec_fn)
+    return subprocess.run([sys.executable, *args], env=_src_env(), capture_output=True,
+                          text=True, timeout=timeout, preexec_fn=preexec_fn)
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -254,6 +258,22 @@ def test_field_summary_normalization():
     conj = invoke("field", "--dim", "1", "--n", "1", "--lc", "1", "--grid", "201",
                   "--conjugate", "--format", "json")
     assert abs(json.loads(conj.stdout)["summary"]["normalization"] + 1.0) <= 1e-8
+
+
+def test_field_summary_does_not_depend_on_blas_threads_or_cpus():
+    """The quadrature sums in a fixed order, not through BLAS: one BLAS thread
+    on one CPU prints the same bytes, ``normalization`` included."""
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("needs os.sched_setaffinity")
+    args = ("-m", "relbox", "field", "--dim", "1", "--n", "3", "--lc", "1",
+            "--grid", "100001", "--format", "json")
+    default = _run_python(*args)
+    assert default.returncode == 0, default.stderr
+    cpu = min(os.sched_getaffinity(0))
+    with mock.patch.dict(os.environ, OPENBLAS_NUM_THREADS="1"):
+        pinned = _run_python(*args, preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+    assert pinned.returncode == 0, pinned.stderr
+    assert pinned.stdout == default.stdout
 
 
 def test_field_3d_rows():
@@ -382,6 +402,39 @@ def test_count_far_past_the_lattice_bound_is_refused_at_once(tmax):
     assert done.returncode == 4, done.stderr
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
     assert "lattice bound 64" in done.stderr
+
+
+@pytest.mark.parametrize("args, message", [
+    (("count", "--dim", "3", "--lc", "1", "--tmax", "300", "--model", "dirac"),
+     "3D count needs spin-1/2 solves above the lattice bound 64"),
+    (("count", "--dim", "3", "--lc", "1", "--tmax", "30000", "--model", "dirac"),
+     "3D count needs spin-1/2 solves above the lattice bound 64"),
+    (("spectrum", "--dim", "3", "--lc", "1", "--tmax", "1e6", "--model", "kg"),
+     "3D enumeration needs indices above the lattice bound 64"),
+    (("spectrum", "--dim", "1", "--lc", "1", "--levels", "200000", "--model", "kg"),
+     "1D enumeration needs 200000 levels, above the lattice bound 100000"),
+    (("count", "--dim", "1", "--lc", "1e300", "--tmax", "1e10"),
+     "1D count needs indices above 2**53 (float64 resolution)"),
+], ids=["count-3d-300", "count-3d-30000", "spectrum-3d", "spectrum-1d", "count-1d"])
+def test_capacity_refusal_names_its_bound_once(args, message):
+    """Each refusal is the library's own message on one line, exit 4."""
+    result = invoke(*args)
+    assert result.exit_code == 4
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("target", ["missing/x.csv", "."], ids=["missing-dir", "a-dir"])
+def test_unwritable_out_is_one_error_line(tmp_path, target):
+    """An ``--out`` that cannot be opened is one error line naming it, exit 1;
+    nothing is created."""
+    out = tmp_path / target
+    result = invoke("count", "--tmax", "5", "--out", str(out))
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert repr(str(out)) in result.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_count_1d_beyond_float64_resolution_exit_code():
@@ -769,14 +822,50 @@ class _ClosingStdout:
 @pytest.mark.parametrize("error", [BrokenPipeError, KeyboardInterrupt])
 def test_workers_are_reaped_before_a_write_error_propagates(monkeypatch, error):
     """An exception while the table is written kills and reaps every worker
-    before it leaves ``main``: while the traceback, and so the unfinished
-    row generator, is still alive."""
+    before ``main`` maps it to an exit code (a closed pipe: exit 1) or lets
+    it propagate: while the traceback, and so the unfinished row generator,
+    is still alive."""
     forked = _affinity(monkeypatch, 3)
     monkeypatch.setattr(sys, "stdout", _ClosingStdout(error))
-    with pytest.raises(error) as raised:
+    expected = SystemExit if error is BrokenPipeError else error
+    with pytest.raises(expected) as raised:
         cli.main(["field", "--dim", "1", "--n", "3", "--lc", "1", "--grid", "100001"])
     assert len(forked) == 2 and raised.traceback
+    if error is BrokenPipeError:
+        assert raised.value.code == 1
     _assert_no_child_left()
+
+
+def test_closed_stdout_pipe_ends_quietly():
+    """A reader that closes the pipe early ends the command with exit 1 and
+    nothing on stderr, not a traceback, and leaves no worker behind."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "relbox", "field", "--dim", "1", "--n", "3", "--lc", "1",
+         "--grid", "100001", "--format", "json"],
+        env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+    ) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
+    with pytest.raises(ProcessLookupError):  # the command's process group is empty
+        os.killpg(proc.pid, 0)
+
+
+def test_output_to_an_already_closed_pipe_ends_quietly():
+    """A table small enough to sit in the stdout buffer until exit meets a
+    pipe whose reader is gone: still exit 1 and nothing on stderr."""
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)  # stdout stays buffered until a flush
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        done = subprocess.run([sys.executable, "-m", "relbox", "count", "--tmax", "5"],
+                              env=env, stdout=writer, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(writer)
+    assert done.returncode == 1
+    assert done.stderr == b""
 
 
 # The figure tables of the benchmark's ``count`` workload, as captured in

@@ -4,14 +4,13 @@ Three subcommands (``spectrum``, ``count``, ``field``) emit deterministic
 CSV or JSON.  Floats are serialized with 17 significant digits in CSV and in
 their shortest round-trip form (``repr``) in JSON, so repeated runs are
 byte-identical and values survive a parse round trip.  A table of more than
-one block of rows with cells still to convert is formatted on the CPUs the
-process may use, by forked workers, into the same bytes for any number of
-CPUs.  Exit codes, all chosen by ``main``: 0 success, 1 output not
-written (an unwritable ``--out``; a closed stdout pipe, silently), 2 bad
-usage, 3 solver failure, 4 capacity exceeded (a lattice bound, float64
-resolution or the float64 range passed; a ``field`` grid too large to
-allocate; running out of memory; a row-formatting worker that failed or
-was killed).
+one block of rows is formatted on the CPUs the process may use, by forked
+workers, into the same bytes for any number of CPUs.  Exit codes, all
+chosen by ``main``: 0 success, 1 output not written (an unwritable
+``--out``; a closed stdout pipe, silently), 2 bad usage, 3 solver failure,
+4 capacity exceeded (a lattice bound, float64 resolution or the float64
+range passed; a ``field`` grid too large to allocate; running out of
+memory; a row-formatting worker that failed or was killed).
 """
 
 from __future__ import annotations
@@ -131,15 +130,11 @@ def _format_rows(table: dict, nrows: int, fmt: str) -> Iterator[str]:
     the items of the JSON ``rows`` list.  The columns are analysed at the
     call, before the first block is formatted.
 
-    Where a column still has cells to convert (a ``%r``, ``%.17g`` or
-    ``%d`` conversion), the blocks are split into contiguous ranges, one per
-    CPU the process may use, and formatted by ``_gather``.  A table whose
-    cells are all formatted strings (the 3D ``field`` tables) is joined by
-    this process alone: there a worker saves less time than forking it and
-    copying its text out cost.
+    The blocks are split into contiguous ranges, one per CPU the process
+    may use, and formatted by ``_gather``; a one-block table is formatted
+    by this process alone.
     """
     specs, cells = zip(*(_column(values, fmt) for values in table.values()))
-    converts = any(spec != "%s" for spec, c in zip(specs, cells) if c is not None)
     cells = [c for c in cells if c is not None]
     if fmt == "csv":
         sep, row = "\n", ",".join(specs)
@@ -161,7 +156,7 @@ def _format_rows(table: dict, nrows: int, fmt: str) -> Iterator[str]:
         return (sep if start else "") + template % tuple(flat)
 
     starts = range(0, nrows, size)
-    count = min(_cpus() if converts else 1, len(starts))
+    count = min(_cpus(), len(starts))
     ranges = [starts[i * len(starts) // count:(i + 1) * len(starts) // count]
               for i in range(count)]
     return _gather(block, ranges)
@@ -402,9 +397,8 @@ def _field(args) -> None:
     stationarity residual.  In CSV the summary appears as leading '#'
     comment lines.  The grid must put more than two intervals on every
     half-wavelength (grid - 1 > 2 n_i), where the quadrature stops aliasing.
-    A table of more than 8192 rows with floats still to format (every 1D
-    table) is formatted on every CPU the process may use, into the same
-    rows for any CPU count ('taskset -c 0' gives one CPU).
+    A table of more than 8192 rows is split over every CPU the process may
+    use, into the same rows for any CPU count ('taskset -c 0' gives one).
     """
     import numpy as np
 
@@ -564,6 +558,3 @@ def main(args=None, prog_name: str = "relbox", standalone_mode: bool = True) -> 
 # ``relbox.cli.cli.main`` is ``main``: the name in-process callers such as
 # ``perfbench/trace.py`` call it by.
 cli = sys.modules[__name__]
-
-if __name__ == "__main__":
-    main()

@@ -140,8 +140,6 @@ def mode_amplitudes(wavenumber: float, branch: int) -> ModeAmplitudes:
 
     so that phi0^2 - chi0^2 = branch exactly.
     """
-    if branch not in (+1, -1):
-        raise ValueError(f"branch must be +1 or -1, got {branch}")
     if not math.isfinite(wavenumber) or wavenumber < 0.0:
         raise ValueError(f"wavenumber must be finite and >= 0, got {wavenumber}")
     eps = math.hypot(wavenumber, 1.0)

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import _FIELDS_NAMES
 from .core import BoxSpec, FVSpinor, ModeAmplitudes, QuantumNumbers, _norm_sq, mode_amplitudes
+from .errors import CapacityError
 
 __all__ = list(_FIELDS_NAMES)
 
@@ -54,13 +55,20 @@ class FieldSample(namedtuple("FieldSample", "position time spinor rho current"))
 
 class BoxState(namedtuple("BoxState", "box qnums conjugated")):
     """Descriptor of one positive-energy box eigenstate, optionally charge
-    conjugated (which flips the sign of energy, density and current)."""
+    conjugated (which flips the sign of energy, density and current).
+    CapacityError where |x|^2 or 2^d / volume leaves the float64 range."""
 
     __slots__ = ()
 
     def __new__(cls, box: BoxSpec, qnums: QuantumNumbers, conjugated: bool = False):
         qnums.check_matches(box)
-        return super().__new__(cls, box, qnums, conjugated)
+        state = super().__new__(cls, box, qnums, conjugated)
+        if _norm_sq(state.wavenumbers) == math.inf:
+            raise CapacityError(f"|x|^2 of {qnums.indices} in box {box.lengths} overflows float64")
+        volume = box.volume()
+        if not 0.0 < (2.0 ** box.dimension / volume if volume else math.inf) < math.inf:
+            raise CapacityError(f"2^d / volume of box {box.lengths} is outside the float64 range")
+        return state
 
     @property
     def wavenumbers(self) -> tuple[float, ...]:
@@ -253,10 +261,14 @@ def stationarity_residual(
     upper = pref * a_up * profile
     lower = pref * a_lo * profile
     psi = _component_sum(state, profile)
-    kinetic_term = -0.5 * _fd_laplacian(psi, state.box, grid.points_per_axis)
-    res_upper = kinetic_term + _interior(upper) - e_val * _interior(upper)
-    res_lower = -kinetic_term - _interior(lower) - e_val * _interior(lower)
-    return float(max(np.max(np.abs(res_upper)), np.max(np.abs(res_lower))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        kinetic_term = -0.5 * _fd_laplacian(psi, state.box, grid.points_per_axis)
+        res_upper = kinetic_term + _interior(upper) - e_val * _interior(upper)
+        res_lower = -kinetic_term - _interior(lower) - e_val * _interior(lower)
+    residual = float(max(np.max(np.abs(res_upper)), np.max(np.abs(res_lower))))
+    if not math.isfinite(residual):
+        raise CapacityError(f"stationarity residual in box {state.box.lengths} overflows float64")
+    return residual
 
 
 def _interior(arr: np.ndarray) -> np.ndarray:
@@ -264,12 +276,17 @@ def _interior(arr: np.ndarray) -> np.ndarray:
 
 
 def _fd_laplacian(arr: np.ndarray, box: BoxSpec, npoints: int) -> np.ndarray:
-    """3-point central second difference per axis, on interior points."""
-    steps = [length / (npoints - 1) for length in box.lengths]
-    if arr.ndim == 1:
-        return (arr[:-2] - 2.0 * arr[1:-1] + arr[2:]) / steps[0] ** 2
-    core = arr[1:-1, 1:-1, 1:-1]
-    lap = (arr[:-2, 1:-1, 1:-1] - 2.0 * core + arr[2:, 1:-1, 1:-1]) / steps[0] ** 2
-    lap += (arr[1:-1, :-2, 1:-1] - 2.0 * core + arr[1:-1, 2:, 1:-1]) / steps[1] ** 2
-    lap += (arr[1:-1, 1:-1, :-2] - 2.0 * core + arr[1:-1, 1:-1, 2:]) / steps[2] ** 2
-    return lap
+    """3-point central second difference per axis, on interior points, summed
+    in axis order.  A step whose square overflows is infinite (a difference
+    of 0); the others square as ``step**2``, not as ``step * step``."""
+    core, terms = _interior(arr), []
+    for axis, length in enumerate(box.lengths):
+        try:
+            step_sq = (length / (npoints - 1)) ** 2
+        except OverflowError:
+            step_sq = math.inf
+        inner = [slice(1, -1)] * arr.ndim
+        below = tuple(inner[:axis] + [slice(None, -2)] + inner[axis + 1:])
+        above = tuple(inner[:axis] + [slice(2, None)] + inner[axis + 1:])
+        terms.append((arr[below] - 2.0 * core + arr[above]) / step_sq)
+    return sum(terms[1:], terms[0])

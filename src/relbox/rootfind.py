@@ -149,7 +149,9 @@ def dirac_wavenumbers_3d(
     point to rounding in the last bits, which is where a tolerance near the
     float64 limit would otherwise leave the last bit alternating.
 
-    Raises CapacityError where the spin-0 |x|^2 overflows float64.
+    Where the spin-0 |x|^2 overflows float64, the first sweep takes
+    e = |x| + 2 (T = |x| to rounding there).  Raises CapacityError where the
+    returned wavenumbers' own |x|^2 overflows.
 
     Returns
     -------
@@ -163,17 +165,20 @@ def dirac_wavenumbers_3d(
     history: list[float] = []
     for _ in range(_SWEEP_CAP):
         e_sum = dispersion("dirac", xs) + 2.0
-        if math.isnan(e_sum):  # |x|^2 overflows; sweeps only lower it, so at the start
-            raise CapacityError(
-                f"kinetic energy of indices {n} in box {lengths} overflows float64"
-            )
+        if math.isnan(e_sum):  # |x|^2 overflows; there T = |x| to rounding
+            e_sum = math.hypot(*xs) + 2.0
         roots = [_solve_axis(n[i], lengths[i], e_sum) for i in range(3)]
         rel_change = max(abs(roots[i] - xs[i]) / max(roots[i], 1e-300) for i in range(3))
         descending = any(roots[i] < xs[i] for i in range(3))
         xs = roots
         history.append(rel_change)
         if rel_change < _SWEEP_REL_TOL or not descending:
-            return (xs[0], xs[1], xs[2], dispersion("dirac", xs))
+            kinetic = dispersion("dirac", xs)
+            if math.isnan(kinetic):
+                raise CapacityError(
+                    f"kinetic energy of indices {n} in box {lengths} overflows float64"
+                )
+            return (xs[0], xs[1], xs[2], kinetic)
     raise ConvergenceError(
         f"3D solve for indices {n} in box {lengths} still changing by "
         f"{history[-1]:.3e} after {len(history)} sweeps",

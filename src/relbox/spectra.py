@@ -108,12 +108,7 @@ def _spin_factor(model: str, spin_counting: bool) -> int:
 
 def level_1d(model: str, n: int, box_length: float) -> Level:
     """The nth 1D level of the given model (degeneracy left at 1)."""
-    if model == "dirac":
-        x = dirac_wavenumber_1d(n, box_length)
-    elif model in ("kg", "nonrel"):
-        x = kg_wavenumber_1d(n, box_length)
-    else:
-        raise ValueError(f"unknown model {model!r}")
+    x = (dirac_wavenumber_1d if model == "dirac" else kg_wavenumber_1d)(n, box_length)
     return Level(
         model=model,
         qnums=QuantumNumbers((n,)),
@@ -128,11 +123,9 @@ def level_3d(model: str, qnums: QuantumNumbers, box: BoxSpec) -> Level:
     if model == "dirac":
         x1, x2, x3, kinetic = dirac_wavenumbers_3d(qnums, box)
         xs = (x1, x2, x3)
-    elif model in ("kg", "nonrel"):
+    else:
         xs = kg_wavenumbers_3d(qnums, box)
         kinetic = dispersion(model, xs)
-    else:
-        raise ValueError(f"unknown model {model!r}")
     return Level(
         model=model,
         qnums=qnums,

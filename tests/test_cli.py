@@ -328,6 +328,34 @@ def test_field_prints_no_negative_zero():
         assert "-0" not in cells and "-0.0" not in cells
 
 
+@pytest.mark.parametrize("args, code", [
+    (("--dim", "1", "--n", "1", "--lc", "1e-154"), 4),
+    (("--dim", "3", "--n", "1,1,1", "--lengths", "1e200,1e-200,1"), 4),
+    (("--dim", "3", "--n", "1,1,1", "--lc", "1e-110"), 4),
+    (("--dim", "3", "--n", "1,1,1", "--lc", "1e-103"), 4),
+    (("--dim", "3", "--n", "1,1,1", "--lc", "4e-103"), 4),
+    (("--dim", "3", "--n", "1,1,1", "--lc", "1e110"), 4),
+    (("--dim", "1", "--n", "1", "--lc", "1e300"), 0),
+    (("--dim", "3", "--n", "1,1,1", "--lc", "1e300"), 4),
+], ids=["1d-1e-154", "3d-lengths-1e200-1e-200", "3d-1e-110", "3d-1e-103", "3d-4e-103",
+        "3d-1e110", "1d-1e300", "3d-1e300"])
+def test_field_at_the_float64_extremes_answers_or_refuses(args, code):
+    """Where the state's |x|^2 overflows, 2^d / volume is 0 or infinite, or
+    the stationarity residual overflows (the cube 4e-103), ``field`` exits 4
+    with one error line and writes nothing.  In the 1D box 1e300 every
+    step's square overflows: its second differences are 0 and it answers."""
+    result = invoke("field", *args, "--grid", "5")
+    assert result.exit_code == code
+    if code:
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    else:
+        assert result.stderr == ""
+        summary, _, _ = parse_csv(result.stdout)
+        assert summary == {"normalization": "1.0000000000000002", "max_abs_current": "0",
+                           "stationarity_residual": "0"}
+
+
 def test_field_validation_errors():
     assert invoke("field", "--dim", "3", "--n", "1", "--lc", "1").exit_code == 2
     assert invoke("field", "--dim", "1", "--n", "1", "--lc", "1",
@@ -718,12 +746,13 @@ def test_render_field_tables_of_the_workload_shapes(monkeypatch, args, fmt):
 
 
 # Field tables of many blocks, as (arguments, whether rows are formatted by
-# workers).  The 3D CSV table has only formatted strings left in its cells
-# (every column has few distinct values), so it is joined in one process.
+# workers).  Every table of more than one block is split over the CPUs, the
+# 3D CSV table too, although its cells are all formatted strings (every
+# column has few distinct values).
 MULTI_BLOCK_FIELDS = {
     "1d-json-13-blocks": (("--dim", "1", "--n", "3", "--grid", "100001", "--format", "json"),
                           True),
-    "3d-csv-9-blocks": (("--dim", "3", "--n", "1,2,3", "--grid", "41"), False),
+    "3d-csv-9-blocks": (("--dim", "3", "--n", "1,2,3", "--grid", "41"), True),
     "1d-csv-conjugate": (("--dim", "1", "--n", "7", "--grid", "100001", "--conjugate"), True),
     "1d-json-2-blocks-and-1-row": (("--dim", "1", "--n", "2", "--grid", str(2 * 8192 + 1),
                                     "--format", "json"), True),
@@ -754,7 +783,7 @@ def _assert_no_child_left():
 @pytest.mark.parametrize("case", MULTI_BLOCK_FIELDS)
 def test_field_bytes_do_not_depend_on_the_cpu_count(monkeypatch, tmp_path, case):
     """1, 2 and 3 CPUs write the same bytes, to stdout and to ``--out``; a
-    table with floats to format forks one worker per CPU past the first, and
+    table of more than one block forks one worker per CPU past the first, and
     every worker is reaped by the time the command returns."""
     args, forks = MULTI_BLOCK_FIELDS[case]
     assert cli._BLOCK_ROWS == 8192

@@ -99,7 +99,7 @@ def test_mode_amplitudes_domain(bad):
 
 
 def test_mode_amplitudes_branch_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="branch"):
         mode_amplitudes(1.0, 0)
 
 

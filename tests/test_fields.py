@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from relbox import (
     BoxSpec,
     BoxState,
+    CapacityError,
     GridSpec,
     QuantumNumbers,
     conjugated_state,
@@ -447,3 +448,17 @@ def test_evaluate_rejects_points_outside_the_box():
     with pytest.raises(ValueError):
         UNIT_CUBE.evaluate([[0.5], [0.5]])
 
+
+@pytest.mark.parametrize("lengths, message", [
+    ((1e-154,), "overflows float64"),
+    ((1e200, 1e-200, 1.0), "overflows float64"),
+    ((1e-110,) * 3, "outside the float64 range"),
+    ((1e-103,) * 3, "outside the float64 range"),
+    ((1e110,) * 3, "outside the float64 range"),
+], ids=["1d-1e-154", "3d-lengths-1e200-1e-200", "3d-1e-110", "3d-1e-103", "3d-1e110"])
+def test_box_state_outside_the_float64_range_is_a_capacity_error(lengths, message):
+    """A state whose |x|^2 overflows, or whose 2^d / volume (the squared
+    normalization) underflows to 0 or overflows, is refused when built:
+    its amplitudes or its prefactor would not be finite."""
+    with pytest.raises(CapacityError, match=message):
+        BoxState(BoxSpec(lengths), QuantumNumbers((1,) * len(lengths)))

@@ -282,14 +282,34 @@ def test_dirac_3d_sweeps_descend_monotonically(log_lengths, n):
         assert all(b <= a for a, b in zip(sweeps, sweeps[1:])), sweeps
 
 
-@pytest.mark.parametrize("length", [1e-155, math.pi / math.sqrt(sys.float_info.max / 5.5)])
+@pytest.mark.parametrize("length", [1e-155])
 def test_dirac_3d_with_an_overflowing_spin0_start_is_a_capacity_error(length):
-    """The sweeps start from the spin-0 wavenumbers; where their |x|^2
-    overflows (at L = 1e-155 each square does, on the second cube only
-    their sum for (1, 1, 2)), the energy sum is NaN: a typed capacity
-    error, not a bracket of NaN ends reported as a convergence failure."""
+    """The sweeps start from the spin-0 wavenumbers; at L = 1e-155 each of
+    their squares overflows, and so does the |x|^2 of the level the sweeps
+    reach: a typed capacity error, not a bracket of NaN ends reported as a
+    convergence failure."""
     with pytest.raises(CapacityError, match="overflows float64"):
         dirac_wavenumbers_3d(QuantumNumbers((1, 1, 2)), BoxSpec.cube(length))
+
+
+# Wavenumbers of (1, 1, 2) on the cube pi / sqrt(DBL_MAX / 5.5) from a
+# 300-bit mpmath solve of the three coupled equations and T together; their
+# |x|^2 is 0.6518281922193 DBL_MAX.
+OVERFLOWING_START_ROOTS = (4.331704074757938e153, 4.331704074757938e153, 8.924762531500614e153)
+
+
+def test_dirac_3d_with_an_overflowing_spin0_start_answers():
+    """The spin-0 |x|^2 of (1, 1, 2) overflows on this cube, but the
+    spin-1/2 level's does not: the first sweep takes e = |x| + 2, which is
+    T + 2 to rounding there, and the sweeps reach the coupled root within
+    their 1e-12 stop."""
+    length = math.pi / math.sqrt(sys.float_info.max / 5.5)
+    n = (1, 1, 2)
+    *xs, kinetic = dirac_wavenumbers_3d(QuantumNumbers(n), BoxSpec.cube(length))
+    assert math.isfinite(kinetic)
+    for ni, x, reference in zip(n, xs, OVERFLOWING_START_ROOTS):
+        assert (ni - 0.5) * math.pi / length <= x < ni * math.pi / length
+        assert math.isclose(x, reference, rel_tol=1e-12, abs_tol=0.0)
 
 
 def test_dirac_3d_iteration_cap(monkeypatch):

@@ -73,6 +73,13 @@ def test_level_3d_examples():
     assert abs(dirac.kinetic - kg111.kinetic) / kg111.kinetic < 0.01
 
 
+def test_level_of_an_unknown_model_is_refused():
+    with pytest.raises(ValueError, match="unknown model 'foo'"):
+        level_1d("foo", 1, 1.0)
+    with pytest.raises(ValueError, match="unknown model 'foo'"):
+        level_3d("foo", QuantumNumbers((1, 1, 1)), BoxSpec.cube(1.0))
+
+
 def test_level_kinetic_consistent_with_dispersion():
     for model in ("kg", "dirac", "nonrel"):
         lv = level_3d(model, QuantumNumbers((1, 2, 2)), BoxSpec.cube(2.0))

@@ -160,10 +160,11 @@ def _norm_sq(wavenumbers) -> float:
 def dispersion(model: str, wavenumbers: tuple[float, ...]) -> float:
     """Scaled kinetic energy of a mode with the given wavenumbers: the
     cancellation-free sqrt(|x|^2 + 1) - 1 for ``kg`` and ``dirac``, |x|^2 / 2
-    for ``nonrel``.  Where |x|^2 overflows the first is NaN, the second +inf."""
+    for ``nonrel``.  Where |x|^2 overflows both are +inf, above every finite
+    cutoff."""
     norm_sq = _norm_sq(wavenumbers)
     if model in ("kg", "dirac"):
-        return norm_sq / (math.sqrt(norm_sq + 1.0) + 1.0)
+        return norm_sq / (math.sqrt(norm_sq + 1.0) + 1.0) if norm_sq < math.inf else norm_sq
     if model == "nonrel":
         return 0.5 * norm_sq
     raise ValueError(f"unknown model {model!r}")

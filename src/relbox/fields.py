@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import namedtuple
 
 import numpy as np
@@ -176,15 +177,17 @@ def _component_sum(state: BoxState, profile) -> np.ndarray:
     return state.prefactor() / math.sqrt(abs(state.scaled_energy)) * profile
 
 
-def _density(state: BoxState, profiles) -> np.ndarray:
+def _density(state: BoxState, profiles, box_units: bool = False) -> np.ndarray:
     """Charge density on the tensor grid of per-axis sine ``profiles``.
 
     By the amplitude identity ``|upper|^2 - |lower|^2 = ±prefactor^2`` times
     the squared profile, the sign being that of the charge; forming the
     difference itself would cancel at large wavenumbers, where both squares
-    grow like the wavenumber.
+    grow like the wavenumber.  ``box_units``: the density times the volume,
+    ±2^d times the squared profile.
     """
-    scale = (-1.0 if state.conjugated else 1.0) * state.prefactor() ** 2
+    scale = 2.0 ** state.box.dimension if box_units else state.prefactor() ** 2
+    scale *= -1.0 if state.conjugated else 1.0
     return _unsigned(scale * _outer([p**2 for p in profiles]))
 
 
@@ -233,8 +236,15 @@ def normalization_check(state: BoxState, grid: GridSpec) -> float:
             f"{grid.points_per_axis} points per axis alias quantum numbers "
             f"{state.qnums.indices}: need points - 1 > 2 n_i"
         )
-    rho = _density(state, _sine_profiles(state, grid.axes(state.box)))
-    weights = [_simpson_weights(grid.points_per_axis, length) for length in state.box.lengths]
+    points, lengths = grid.points_per_axis, state.box.lengths
+    weights = [_simpson_weights(points, length) for length in lengths]
+    # Weight products that fall below the normal range (the smallest ones,
+    # taken in _outer's order, show it) lose digits: integrate in box units.
+    low = np.multiply.accumulate([w[0] for w in weights])
+    box_units = bool(low.min() < sys.float_info.min)
+    if box_units:
+        weights = [_simpson_weights(points, 1.0)] * len(lengths)
+    rho = _density(state, _sine_profiles(state, grid.axes(state.box)), box_units)
     return float(np.sum(_outer(weights) * rho))  # fixed order: BLAS's follows its threads
 
 

@@ -165,7 +165,7 @@ def dirac_wavenumbers_3d(
     history: list[float] = []
     for _ in range(_SWEEP_CAP):
         e_sum = dispersion("dirac", xs) + 2.0
-        if math.isnan(e_sum):  # |x|^2 overflows; there T = |x| to rounding
+        if e_sum == math.inf:  # |x|^2 overflows; there T = |x| to rounding
             e_sum = math.hypot(*xs) + 2.0
         roots = [_solve_axis(n[i], lengths[i], e_sum) for i in range(3)]
         rel_change = max(abs(roots[i] - xs[i]) / max(roots[i], 1e-300) for i in range(3))
@@ -174,7 +174,7 @@ def dirac_wavenumbers_3d(
         history.append(rel_change)
         if rel_change < _SWEEP_REL_TOL or not descending:
             kinetic = dispersion("dirac", xs)
-            if math.isnan(kinetic):
+            if kinetic == math.inf:
                 raise CapacityError(
                     f"kinetic energy of indices {n} in box {lengths} overflows float64"
                 )

@@ -109,30 +109,27 @@ def _spin_factor(model: str, spin_counting: bool) -> int:
 def level_1d(model: str, n: int, box_length: float) -> Level:
     """The nth 1D level of the given model (degeneracy left at 1)."""
     x = (dirac_wavenumber_1d if model == "dirac" else kg_wavenumber_1d)(n, box_length)
-    return Level(
-        model=model,
-        qnums=QuantumNumbers((n,)),
-        wavenumbers=(x,),
-        kinetic=dispersion(model, (x,)),
-        degeneracy=1,
-    )
+    return _level(model, QuantumNumbers((n,)), (box_length,), (x,))
 
 
 def level_3d(model: str, qnums: QuantumNumbers, box: BoxSpec) -> Level:
     """One 3D level of the given model (degeneracy left at 1)."""
     if model == "dirac":
-        x1, x2, x3, kinetic = dirac_wavenumbers_3d(qnums, box)
-        xs = (x1, x2, x3)
+        xs = dirac_wavenumbers_3d(qnums, box)[:3]
     else:
         xs = kg_wavenumbers_3d(qnums, box)
-        kinetic = dispersion(model, xs)
-    return Level(
-        model=model,
-        qnums=qnums,
-        wavenumbers=xs,
-        kinetic=kinetic,
-        degeneracy=1,
-    )
+    return _level(model, qnums, box.lengths, xs)
+
+
+def _level(model: str, qnums: QuantumNumbers, lengths, xs: tuple[float, ...]) -> Level:
+    """The level of wavenumbers ``xs``; CapacityError where its kinetic
+    energy overflows float64."""
+    kinetic = dispersion(model, xs)
+    if kinetic == math.inf:
+        raise CapacityError(
+            f"kinetic energy of indices {qnums.indices} in box {lengths} overflows float64"
+        )
+    return Level(model, qnums, xs, kinetic, 1)
 
 
 def enumerate_levels(request: SpectrumRequest) -> list[Level]:
@@ -355,17 +352,10 @@ def _lower_bound_wavenumber(model: str, n: int, length: float) -> float:
 
 def _lower_bound(model: str, indices: tuple[int, ...], lengths) -> float:
     """Kinetic energy at the lower edge of every axis's wavenumber range:
-    the energy itself for kg and nonrel, a bound below it for spin-1/2.
-
-    Where |x|^2 overflows, the relativistic energy comes out NaN and the
-    quadratic one +inf; both are +inf here.  Such a mode lies above every
-    cutoff T whose budget T (T + 2) (2 T for nonrel) is finite, and callers
-    compare the bound only with such cutoffs.
-    """
-    bound = dispersion(model, tuple(
+    the energy itself for kg and nonrel, a bound below it for spin-1/2."""
+    return dispersion(model, tuple(
         _lower_bound_wavenumber(model, n, length) for n, length in zip(indices, lengths)
     ))
-    return math.inf if math.isnan(bound) else bound
 
 
 def _enumerate_1d(request: SpectrumRequest) -> list[Level]:
@@ -384,8 +374,7 @@ def _enumerate_1d(request: SpectrumRequest) -> list[Level]:
             lattice_max=cap,
         )
     spin = _spin_factor(model, request.spin_counting)
-    # a level's first four fields: model, qnums, wavenumbers, kinetic
-    return [Level(*level_1d(model, n, length)[:4], spin) for n in range(1, last + 1)]
+    return [level_1d(model, n, length)._replace(degeneracy=spin) for n in range(1, last + 1)]
 
 
 def _cubic_multiplicity(triple: tuple[int, int, int]) -> int:
@@ -404,10 +393,16 @@ def _enumerate_3d(request: SpectrumRequest) -> list[Level]:
     merged levels at most T are kept.
 
     A ``count`` request is the same request at T = K (1 + MERGE_REL_TOL),
-    K the count-th level.  K is found by doubling a walk's reach from the
+    K the count-th level.  K is found by widening a walk's reach from the
     (1, 1, 1) lower bound until the count-th merged level lies within it
     (levels are final up to the reach, as every mode below it is solved);
-    solved modes are kept across rounds.  Lower bounds rise with every
+    solved modes are kept across rounds.  A round that holds fewer than
+    ``count`` levels doubles the reach; one that holds ``count`` sets it to
+    its count-th level K'.  That never passes K: a merged level starts at
+    the first entry more than MERGE_REL_TOL above the previous start, so
+    adding modes never raises the count-th start (by induction over the
+    starts, the threshold rising with the start), and K <= K'.  The next
+    round solves every mode up to K' and ends.  Lower bounds rise with every
     index, so the reach stays below the smallest bound of a mode with an
     index above ``DEFAULT_LATTICE_MAX_3D``, and the request raises
     CapacityError, without walking past that bound, if its
@@ -448,7 +443,10 @@ def _enumerate_3d(request: SpectrumRequest) -> list[Level]:
                     )
                 cutoff = math.inf  # the count-th level lies past the bound
                 break
-            reach = max(2.0 * reach, math.ulp(0.0))  # a lower bound can underflow to 0
+            if len(levels) >= count:
+                reach = levels[count - 1].kinetic
+            else:
+                reach = max(2.0 * reach, math.ulp(0.0))  # a lower bound can underflow to 0
     if not bound > cutoff * margin:
         raise CapacityError(
             f"3D enumeration needs indices above the lattice bound {cap}", lattice_max=cap
@@ -474,9 +472,11 @@ def _merge_equal_energies(entries) -> list[Level]:
             merged[-1].kinetic, base.kinetic, rel_tol=MERGE_REL_TOL, abs_tol=0.0
         ):
             prev = merged[-1]
-            merged[-1] = Level(*prev[:4], prev.degeneracy + degeneracy, prev.also + (base.qnums,))
+            merged[-1] = prev._replace(
+                degeneracy=prev.degeneracy + degeneracy, also=prev.also + (base.qnums,)
+            )
         else:
-            merged.append(Level(*base[:4], degeneracy))
+            merged.append(base._replace(degeneracy=degeneracy))
     return merged
 
 

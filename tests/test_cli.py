@@ -224,6 +224,29 @@ def test_usage_errors_exit_2():
         assert "error:" in result.stderr
 
 
+@pytest.mark.parametrize("args, option", [
+    (("spectrum", "--lc", "a,b"), "--lc"),
+    (("field", "--n", "x", "--lc", "1"), "--n"),
+    (("field", "--n", "0", "--lc", "1"), "--n"),
+    (("spectrum", "--dim", "3", "--lengths", "1,2"), "--lengths"),
+    (("count", "--dim", "1", "--lengths", "1,2", "--tmax", "1"), "--lengths"),
+    (("spectrum", "--levels", "0"), "--levels"),
+    (("spectrum", "--tmax", "0"), "--tmax"),
+    (("count",), "--tmax"),
+    (("field", "--lc", "1,2", "--n", "1"), "--lc"),
+], ids=["lc-not-floats", "n-not-ints", "n-zero", "lengths-3d-count", "lengths-1d-count",
+        "levels-zero", "spectrum-tmax-zero", "count-without-tmax", "field-two-lc"])
+def test_invalid_option_values_exit_2_naming_the_option(args, option):
+    """Each refused value is bad usage: exit 2, nothing on stdout, and the
+    error line (after the usage text) names the option."""
+    result = invoke(*args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    error = result.stderr.splitlines()[-1]
+    assert "error:" in error
+    assert option in error
+
+
 def test_version_names_the_program():
     """``python -m relbox`` is the ``relbox`` program, not ``python -m relbox``."""
     done = _run_python("-m", "relbox", "--version")
@@ -472,8 +495,8 @@ def test_count_1d_beyond_float64_resolution_exit_code():
 
 
 def test_overflowing_energy_exit_code():
-    """At L = 1e-160 the spin-0 kinetic energy overflows to NaN: exit 4, not
-    a table of NaN rows."""
+    """At L = 1e-160 the spin-0 kinetic energy overflows to +inf: exit 4, not
+    a table of NaN or inf rows."""
     result = invoke("spectrum", "--dim", "1", "--model", "kg", "--lc", "1e-160")
     assert result.exit_code == 4
     assert "overflows float64" in result.stderr

@@ -189,8 +189,8 @@ def test_quantum_numbers_arity_check():
 @pytest.mark.parametrize("wavenumbers", [(1e155,), (1e154, 1e154, 1e154)])
 def test_dispersion_past_the_float_range(wavenumbers):
     """An overflowing |x|^2, of one square or of a sum of finite squares,
-    gives NaN for the relativistic energy and +inf for the quadratic one."""
-    assert math.isnan(dispersion("kg", wavenumbers))
+    gives +inf for the relativistic energy and for the quadratic one."""
+    assert dispersion("kg", wavenumbers) == math.inf
     assert dispersion("nonrel", wavenumbers) == math.inf
 
 
@@ -237,6 +237,24 @@ def test_value_type_contract(cls, fields):
         assert hash(again) == hash(value)
     shown = ", ".join(f"{name}={field!r}" for name, field in fields.items())
     assert repr(value) == f"{cls.__name__}({shown})"
+
+
+INVALID_VALUES = [
+    (lambda: BoxSpec.cube(1.0, dim=2), "dim must be 1 or 3, got 2"),
+    (lambda: ModeAmplitudes(_AMPS.phi0, _AMPS.chi0, -1, 0.5),
+     r"scaled energy must be >= 1, got 0\.5"),
+    (lambda: Level("foo", _QNUMS, (1.0, 2.0, 3.0), 2.75, 1), "unknown model 'foo'"),
+    (lambda: Level("kg", _QNUMS, (1.0, 2.0, 3.0), 2.75, 0), "degeneracy must be >= 1"),
+    (lambda: SpectrumRequest("kg", _BOX, max_kinetic=0.0), r"max_kinetic must be > 0, got 0\.0"),
+]
+
+
+@pytest.mark.parametrize("build, message", INVALID_VALUES,
+                         ids=["cube-dim-2", "amplitudes-energy-0.5", "level-model-foo",
+                              "level-degeneracy-0", "request-max-kinetic-0"])
+def test_value_types_refuse_invalid_fields(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_rebuilt_levels_carry_degeneracy_and_merged_representatives():

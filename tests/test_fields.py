@@ -184,6 +184,18 @@ def test_normalization_stays_exact_under_refinement():
         assert value == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("lengths", [(4e-103,) * 3, (1e-102,) * 3, (4e-154, 4e-154, 1e60)],
+                         ids=["3d-4e-103", "3d-1e-102", "3d-lengths-4e-154-4e-154-1e60"])
+def test_normalization_keeps_its_digits_where_the_weight_product_is_subnormal(lengths):
+    """The Simpson weight products, about (L / 180)^3, fall below the normal
+    float64 range in the two cubes; in the last box the product of the
+    first two axes' weights does.  The charge still integrates to +-1 within
+    a few ulp, not to 1.0000000000003186 or 0.9999999999997847."""
+    state = BoxState(BoxSpec(lengths), QuantumNumbers((1, 1, 1)))
+    for charge, s in ((1.0, state), (-1.0, conjugated_state(state))):
+        assert abs(normalization_check(s, GridSpec(61)) - charge) <= 4 * math.ulp(1.0)
+
+
 def test_simpson_engine_is_fourth_order():
     # O(h^4) rate measured on exp, which Simpson does not integrate exactly.
     exact = math.e - 1.0

@@ -158,6 +158,11 @@ def test_dirac_1d_domain_errors():
         dirac_wavenumber_1d(1, 0.0)
 
 
+def test_dirac_3d_refuses_a_1d_box():
+    with pytest.raises(ValueError, match="need a 3D box, got 1D"):
+        dirac_wavenumbers_3d(QuantumNumbers((1,)), BoxSpec((1.0,)))
+
+
 def test_kg_3d_componentwise():
     xs = kg_wavenumbers_3d(QuantumNumbers((2, 1, 1)), BoxSpec((1.0, 2.0, 4.0)))
     assert xs == pytest.approx((2 * math.pi, math.pi / 2, math.pi / 4), rel=1e-15)

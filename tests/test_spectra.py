@@ -619,11 +619,22 @@ def test_3d_enumeration_with_an_overflowing_budget_is_refused():
 
 
 def test_level_with_an_overflowing_energy_is_refused():
-    """x = pi * 1e160 squares to inf, and the kinetic energy to NaN."""
-    with pytest.raises(ValueError):
+    """x = pi * 1e160 squares to inf, and so does the kinetic energy."""
+    with pytest.raises(CapacityError):
         level_1d("kg", 1, 1e-160)
     with pytest.raises(CapacityError):
         enumerate_levels(SpectrumRequest("kg", BoxSpec((1e-160,)), count=4))
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_levels_past_the_float_range_are_capacity_errors(model):
+    """At L = 1e-160 every |x|^2 overflows, so every kinetic energy is +inf:
+    both level builders refuse for every model, naming indices and box,
+    instead of a ValueError or a level of infinite energy."""
+    with pytest.raises(CapacityError, match=r"indices \(1,\) in box \(1e-160,\) overflows"):
+        level_1d(model, 1, 1e-160)
+    with pytest.raises(CapacityError, match=r"indices \(1, 1, 1\) in box \(1e-160, "):
+        level_3d(model, QuantumNumbers((1, 1, 1)), BoxSpec.cube(1e-160))
 
 
 def test_dirac_3d_table_at_a_sweep_tolerance_below_float64_resolution(monkeypatch):

@@ -17,16 +17,14 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import os
 import sys
 from collections.abc import Iterator
 
 from . import __version__
-from .core import BoxSpec, QuantumNumbers
+from .core import MODELS, BoxSpec, QuantumNumbers
 from .errors import CapacityError, ConvergenceError
-from .spectra import MODELS, count_states, spectrum_table
 
 __all__ = ["cli", "main", "annotate_units"]
 
@@ -76,6 +74,8 @@ def _fmt(value) -> str:
 
 def _json(value, level: int = 0) -> str:
     """``value`` as ``json.dumps(..., indent=2)`` writes it ``level`` levels deep."""
+    import json  # loaded only by JSON output
+
     return json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)
 
 
@@ -280,6 +280,20 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
+def _unwritten(exc: OSError) -> int:
+    """The exit code, 1, of output that could not be written, after one
+    ``error:`` line.  A stdout pipe whose reader is gone ends silently
+    instead, with the null device put on fd 1, so no later flush fails."""
+    if isinstance(exc, BrokenPipeError):
+        try:  # an in-process stream has no fd
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):
+            pass
+    else:
+        sys.stderr.write(f"error: {exc}\n")
+    return 1
+
+
 def _floats(text: str) -> tuple[float, ...]:
     try:
         items = tuple(float(v) for v in text.split(","))
@@ -332,6 +346,8 @@ def _spectrum(args) -> None:
     nonrel), box size ascending, kinetic energy ascending.  The nonrel
     model appears only at the largest box size, as a reference limit.
     """
+    from .spectra import spectrum_table
+
     levels, tmax = args.levels, args.tmax
     if levels is not None and tmax is not None:
         args.error("Set only one of '--levels' and '--tmax'.")
@@ -362,6 +378,8 @@ def _spectrum(args) -> None:
 
 def _count(args) -> None:
     """Count states with kinetic energy at or below the cutoff."""
+    from .spectra import count_states
+
     tmax = args.tmax
     if tmax is None:
         args.error("the following arguments are required: --tmax")
@@ -544,15 +562,8 @@ def main(args=None, prog_name: str = "relbox", standalone_mode: bool = True) -> 
         _fail(4, str(exc))
     except MemoryError as exc:
         _fail(4, f"out of memory ({exc})")
-    except BrokenPipeError:
-        try:  # the null device takes the flush at exit; an in-process stream has no fd
-            stdout = sys.stdout.fileno()
-            os.dup2(os.open(os.devnull, os.O_WRONLY), stdout)
-        except (AttributeError, OSError, ValueError):
-            pass
-        sys.exit(1)
     except OSError as exc:
-        _fail(1, str(exc))
+        sys.exit(_unwritten(exc))
 
 
 # ``relbox.cli.cli.main`` is ``main``: the name in-process callers such as

@@ -12,6 +12,7 @@ import math
 from collections import namedtuple
 
 __all__ = [
+    "MODELS",
     "BoxSpec",
     "QuantumNumbers",
     "FVSpinor",
@@ -20,6 +21,10 @@ __all__ = [
     "charge_conjugate",
     "dispersion",
 ]
+
+# The three dispersion models: spin-0 (``kg``), spin-1/2 (``dirac``) and the
+# non-relativistic limit of spin-0 (``nonrel``).
+MODELS = ("kg", "dirac", "nonrel")
 
 
 class BoxSpec(namedtuple("BoxSpec", "lengths")):

@@ -17,11 +17,11 @@ from collections import namedtuple
 
 import numpy as np
 
-from . import _FIELDS_NAMES
+from . import _LAZY_NAMES
 from .core import BoxSpec, FVSpinor, ModeAmplitudes, QuantumNumbers, _norm_sq, mode_amplitudes
 from .errors import CapacityError
 
-__all__ = list(_FIELDS_NAMES)
+__all__ = list(_LAZY_NAMES["fields"])
 
 
 class GridSpec(namedtuple("GridSpec", "points_per_axis")):

@@ -17,15 +17,11 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
+from . import _LAZY_NAMES
 from .core import BoxSpec, QuantumNumbers, dispersion
 from .errors import CapacityError, ConvergenceError
 
-__all__ = [
-    "kg_wavenumber_1d",
-    "dirac_wavenumber_1d",
-    "kg_wavenumbers_3d",
-    "dirac_wavenumbers_3d",
-]
+__all__ = list(_LAZY_NAMES["rootfind"])
 
 # Largest relative update at which the 3D fixed point stops.  The figure
 # tables are tied to this value: tightening it moves their last digits.

@@ -20,7 +20,8 @@ import math
 import sys
 from collections import namedtuple
 
-from .core import BoxSpec, QuantumNumbers, dispersion
+from . import _LAZY_NAMES
+from .core import MODELS, BoxSpec, QuantumNumbers, dispersion
 from .errors import CapacityError
 from .rootfind import (
     dirac_wavenumber_1d,
@@ -29,18 +30,7 @@ from .rootfind import (
     kg_wavenumbers_3d,
 )
 
-__all__ = [
-    "MODELS",
-    "Level",
-    "SpectrumRequest",
-    "level_1d",
-    "level_3d",
-    "enumerate_levels",
-    "count_states",
-    "spectrum_table",
-]
-
-MODELS = ("kg", "dirac", "nonrel")
+__all__ = list(_LAZY_NAMES["spectra"])
 
 # Two levels count as distinct when their kinetic energies differ by more
 # than this, relatively; closer pairs are merged with summed degeneracy.

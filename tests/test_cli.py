@@ -1,5 +1,6 @@
 """Command-line interface: schemas, determinism, exit codes, units."""
 
+import ast
 import json
 import math
 import os
@@ -149,10 +150,10 @@ def _src_env():
     return dict(os.environ, PYTHONPATH=path)
 
 
-def _run_python(*args, timeout=60, preexec_fn=None):
+def _run_python(*args, timeout=60, preexec_fn=None, text=True):
     """A fresh interpreter, run with ``args``, that imports relbox from ``src/``."""
     return subprocess.run([sys.executable, *args], env=_src_env(), capture_output=True,
-                          text=True, timeout=timeout, preexec_fn=preexec_fn)
+                          text=text, timeout=timeout, preexec_fn=preexec_fn)
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -904,20 +905,158 @@ def test_closed_stdout_pipe_ends_quietly():
         os.killpg(proc.pid, 0)
 
 
-def test_output_to_an_already_closed_pipe_ends_quietly():
-    """A table small enough to sit in the stdout buffer until exit meets a
-    pipe whose reader is gone: still exit 1 and nothing on stderr."""
+def _run_buffered(*args, stdout=subprocess.PIPE, preexec_fn=None):
+    """``_run_python(*args)`` with a block-buffered stdout on ``stdout``, in bytes."""
     env = _src_env()
     env.pop("PYTHONUNBUFFERED", None)  # stdout stays buffered until a flush
+    return subprocess.run([sys.executable, *args], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=60, preexec_fn=preexec_fn)
+
+
+def _into_closed_pipe(*args):
+    """``python -m relbox *args`` with stdout on a pipe whose reader is gone."""
     reader, writer = os.pipe()
     os.close(reader)
     try:
-        done = subprocess.run([sys.executable, "-m", "relbox", "count", "--tmax", "5"],
-                              env=env, stdout=writer, stderr=subprocess.PIPE, timeout=60)
+        return _run_buffered("-m", "relbox", *args, stdout=writer)
     finally:
         os.close(writer)
+
+
+def test_output_to_an_already_closed_pipe_ends_quietly():
+    """A table small enough to sit in the stdout buffer until exit meets a
+    pipe whose reader is gone: still exit 1 and nothing on stderr."""
+    done = _into_closed_pipe("count", "--tmax", "5")
     assert done.returncode == 1
     assert done.stderr == b""
+
+
+@pytest.mark.parametrize("args", [("--help",), ("--version",), ("count", "--help")],
+                         ids=["help", "version", "count-help"])
+def test_help_and_version_into_a_closed_pipe_end_quietly(args):
+    """argparse prints help and the version into the stdout buffer and exits
+    0 before anything is flushed: the process's own flush meets the closed
+    pipe, and it too exits 1 with nothing on stderr."""
+    done = _into_closed_pipe(*args)
+    assert done.returncode == 1
+    assert done.stderr == b""
+
+
+def test_help_past_the_file_size_limit_is_one_error_line(tmp_path):
+    """Help text that cannot be flushed into its file is output not written:
+    exit 1 and one ``error:`` line, as for a table."""
+    import resource
+
+    _, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    with open(tmp_path / "help.txt", "wb") as out:
+        done = _run_buffered("-m", "relbox", "--help", stdout=out,
+                             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (0, hard)))
+    assert done.returncode == 1
+    assert done.stderr.startswith(b"error: ") and done.stderr.count(b"\n") == 1
+
+
+@pytest.mark.parametrize("code, args", [
+    (0, ("spectrum", "--dim", "1", "--lc", "1", "--levels", "2")),
+    (1, ("count", "--tmax", "5", "--out", "{tmp}/missing/x.csv")),
+    (2, ("spectrum", "--lev", "3")),
+    (4, ("count", "--dim", "3", "--lc", "1", "--tmax", "1e12", "--model", "dirac")),
+], ids=["0-table", "1-unwritable-out", "2-usage", "4-capacity"])
+def test_process_prints_and_exits_as_main_does(tmp_path, code, args):
+    """``python -m relbox`` writes the stdout and stderr of ``cli.main`` run in
+    process, and exits with its code."""
+    args = [arg.format(tmp=tmp_path) for arg in args]
+    result = invoke(*args)
+    assert result.exit_code == code
+    done = _run_python("-m", "relbox", *args)
+    assert (done.returncode, done.stdout, done.stderr) == (code, result.stdout, result.stderr)
+
+
+def test_process_writes_a_multi_block_table_whole(tmp_path):
+    """A table of three blocks, formatted by forked workers, reaches stdout
+    and ``--out`` complete, in the bytes that ``cli.main`` writes in process."""
+    args = ("field", "--dim", "1", "--n", "2", "--lc", "1", "--grid", str(2 * 8192 + 1),
+            "--format", "json")
+    expected = invoke(*args).stdout_bytes
+    assert len(json.loads(expected)["rows"]) == 2 * 8192 + 1
+    done = _run_python("-m", "relbox", *args, text=False)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == expected
+    out = tmp_path / "field.json"
+    done = _run_python("-m", "relbox", *args, "--out", str(out), text=False)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+    assert out.read_bytes() == expected
+
+
+# ``relbox.__main__.run`` with ``cli.main`` replaced by ``sys.argv[1]``, and an
+# exit handler that reports whether interpreter teardown ran.
+_PATCHED_RUN = (
+    "import atexit, sys\n"
+    "import relbox.cli\n"
+    "def main():\n"
+    "    exec(sys.argv[1])\n"
+    "relbox.cli.main = main\n"
+    "from relbox.__main__ import run\n"
+    "atexit.register(print, 'teardown ran')\n"
+    "run()\n"
+)
+
+
+@pytest.mark.parametrize("statement", [
+    "raise SystemExit", "raise SystemExit(None)", "raise SystemExit(3)",
+    "raise SystemExit(True)", "raise SystemExit('no table')", "print('table')",
+])
+def test_process_exits_as_cpython_does_without_teardown(statement):
+    """``run`` gives the exit code and stderr that CPython gives the
+    ``SystemExit`` of ``main`` (0 on return), flushes the buffered stdout,
+    and ends the process without running exit handlers."""
+    done = _run_buffered("-c", _PATCHED_RUN, statement)
+    plain = _run_buffered("-c", statement)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        plain.returncode, plain.stdout, plain.stderr)
+    assert b"teardown ran" not in done.stdout
+
+
+def test_process_lets_any_other_exception_propagate():
+    """An exception other than ``SystemExit`` prints its traceback and exits
+    1 after the usual teardown."""
+    done = _run_python("-c", _PATCHED_RUN, "raise RuntimeError('no luck')")
+    assert done.returncode == 1
+    assert done.stderr.startswith("Traceback (most recent call last):")
+    assert done.stderr.endswith("RuntimeError: no luck\n")
+    assert done.stdout == "teardown ran\n"
+
+
+def test_console_script_runs_what_python_m_relbox_runs():
+    """The installed ``relbox`` script names the function that
+    ``python -m relbox`` calls under its ``__main__`` guard."""
+    text = (REPO / "pyproject.toml").read_text()
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10
+        assert 'relbox = "relbox.__main__:run"' in text.splitlines()
+    else:
+        assert tomllib.loads(text)["project"]["scripts"] == {"relbox": "relbox.__main__:run"}
+    tree = ast.parse((REPO / "src" / "relbox" / "__main__.py").read_text())
+    [guard] = [node for node in tree.body if isinstance(node, ast.If)]
+    assert ast.unparse(guard) == "if __name__ == '__main__':\n    run()"
+
+
+def test_commands_import_only_the_modules_they_use():
+    """CSV output runs without ``json``, and ``field`` compiles neither the
+    root solvers nor the level tables."""
+    code = (
+        "import sys\n"
+        "sys.modules['json'] = None  # any import of json now fails\n"
+        "from relbox.cli import main\n"
+        "main(['field', '--n', '2', '--lc', '1', '--grid', '9'])\n"
+        "assert 'relbox.spectra' not in sys.modules, 'spectra'\n"
+        "assert 'relbox.rootfind' not in sys.modules, 'rootfind'\n"
+        "main(['count', '--dim', '1', '--tmax', '5'])\n"
+        "main(['spectrum', '--dim', '3', '--lc', '1', '--levels', '2'])\n"
+    )
+    done = _run_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("# n_rows=") == 2
 
 
 # The figure tables of the benchmark's ``count`` workload, as captured in

@@ -10,7 +10,8 @@ chosen by ``main``: 0 success, 1 output not written (an unwritable
 ``--out``; a closed stdout pipe, silently), 2 bad usage, 3 solver failure,
 4 capacity exceeded (a lattice bound, float64 resolution or the float64
 range passed; a ``field`` grid too large to allocate; running out of
-memory; a row-formatting worker that failed or was killed).
+memory; a row-formatting worker that failed, was killed or could not
+start).
 """
 
 from __future__ import annotations
@@ -212,14 +213,17 @@ def _gather(block, ranges) -> Iterator[str]:
 def _fork(block, starts):
     """(pid, text): a forked worker that writes ``block(start)`` for each of
     ``starts`` into an anonymous memory file, and that file opened for
-    reading as UTF-8 text.  The worker ends through ``os._exit`` on every
-    path, with status 0 once its text is written: it never flushes the
-    buffers or runs the exit handlers it inherited."""
+    reading as UTF-8 text.  A fork that fails raises MemoryError.  The
+    worker ends through ``os._exit`` on every path, with status 0 once its
+    text is written: it never flushes the buffers or runs the exit handlers
+    it inherited."""
     text = open(os.memfd_create("relbox-rows"), encoding="utf-8", newline="")
     try:
         pid = os.fork()
-    except BaseException:
+    except BaseException as exc:
         text.close()
+        if isinstance(exc, OSError):
+            raise MemoryError(f"a row-formatting worker could not start ({exc})") from exc
         raise
     if pid == 0:
         status = 1

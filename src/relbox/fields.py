@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from collections import namedtuple
 
 import numpy as np
@@ -225,7 +224,9 @@ def _sine_profiles(state: BoxState, axes) -> list[np.ndarray]:
 
 
 def normalization_check(state: BoxState, grid: GridSpec) -> float:
-    """Composite-Simpson quadrature of the charge density over the box.
+    """Composite-Simpson quadrature of the charge density over the box, in
+    box units (the weights of [0, 1] against the density times the volume),
+    so that no box size needs its own scale.
 
     The exact value is +1, or -1 for a conjugated state.  Raises
     ``ValueError`` on a grid that aliases the state (see
@@ -236,15 +237,8 @@ def normalization_check(state: BoxState, grid: GridSpec) -> float:
             f"{grid.points_per_axis} points per axis alias quantum numbers "
             f"{state.qnums.indices}: need points - 1 > 2 n_i"
         )
-    points, lengths = grid.points_per_axis, state.box.lengths
-    weights = [_simpson_weights(points, length) for length in lengths]
-    # Weight products that fall below the normal range (the smallest ones,
-    # taken in _outer's order, show it) lose digits: integrate in box units.
-    low = np.multiply.accumulate([w[0] for w in weights])
-    box_units = bool(low.min() < sys.float_info.min)
-    if box_units:
-        weights = [_simpson_weights(points, 1.0)] * len(lengths)
-    rho = _density(state, _sine_profiles(state, grid.axes(state.box)), box_units)
+    weights = [_simpson_weights(grid.points_per_axis, 1.0)] * state.box.dimension
+    rho = _density(state, _sine_profiles(state, grid.axes(state.box)), box_units=True)
     return float(np.sum(_outer(weights) * rho))  # fixed order: BLAS's follows its threads
 
 
@@ -288,13 +282,11 @@ def _interior(arr: np.ndarray) -> np.ndarray:
 def _fd_laplacian(arr: np.ndarray, box: BoxSpec, npoints: int) -> np.ndarray:
     """3-point central second difference per axis, on interior points, summed
     in axis order.  A step whose square overflows is infinite (a difference
-    of 0); the others square as ``step**2``, not as ``step * step``."""
+    of 0)."""
     core, terms = _interior(arr), []
     for axis, length in enumerate(box.lengths):
-        try:
-            step_sq = (length / (npoints - 1)) ** 2
-        except OverflowError:
-            step_sq = math.inf
+        step = length / (npoints - 1)
+        step_sq = step * step
         inner = [slice(1, -1)] * arr.ndim
         below = tuple(inner[:axis] + [slice(None, -2)] + inner[axis + 1:])
         above = tuple(inner[:axis] + [slice(2, None)] + inner[axis + 1:])

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -156,6 +157,21 @@ def simpson_integral(values: np.ndarray, length: float) -> float:
     h = length / (n - 1)
     total = values[0] + values[-1] + 4.0 * np.sum(values[1:-1:2]) + 2.0 * np.sum(values[2:-1:2])
     return float(total * h / 3.0)
+
+
+def exact_simpson_charge(profiles, charge: float) -> float:
+    """Composite-Simpson integral over the unit cube of ``charge * 2^d``
+    times the product of the squared per-axis ``profiles`` (samples on
+    uniform grids of [0, 1], faces included), rounded once.  The sum
+    factorises over the axes; each axis is summed in exact rational
+    arithmetic."""
+    total = Fraction(charge)
+    for profile in profiles:
+        npoints = len(profile)
+        coefs = [1] + [4 if k % 2 else 2 for k in range(1, npoints - 1)] + [1]
+        axis_sum = sum(c * Fraction(float(v)) ** 2 for c, v in zip(coefs, profile))
+        total *= Fraction(2, 3 * (npoints - 1)) * axis_sum
+    return float(total)
 
 
 def lattice_levels(kinetic_of, lengths, n_max: int, count: int,

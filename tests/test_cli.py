@@ -1,6 +1,7 @@
 """Command-line interface: schemas, determinism, exit codes, units."""
 
 import ast
+import errno
 import json
 import math
 import os
@@ -376,7 +377,7 @@ def test_field_at_the_float64_extremes_answers_or_refuses(args, code):
     else:
         assert result.stderr == ""
         summary, _, _ = parse_csv(result.stdout)
-        assert summary == {"normalization": "1.0000000000000002", "max_abs_current": "0",
+        assert summary == {"normalization": "0.99999999999999989", "max_abs_current": "0",
                            "stationarity_residual": "0"}
 
 
@@ -858,6 +859,50 @@ def test_failed_row_worker_fails_the_command(monkeypatch, tmp_path, child, args)
     assert result.exit_code == 4
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
     assert "row-formatting worker" in result.stderr
+    _assert_no_child_left()
+
+
+def _open_fds():
+    """The descriptors open in this process, where ``/proc/self/fd`` lists them."""
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_row_worker_that_cannot_start_fails_the_command(monkeypatch, cpus):
+    """A fork refused for want of processes (EAGAIN) makes the command exit 4
+    with one error line naming the worker, after the workers already started
+    are killed and reaped; no memory file is left open."""
+    forked = _affinity(monkeypatch, cpus)
+    fork = os.fork
+
+    def fork_until_the_last():
+        if len(forked) == cpus - 2:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_until_the_last)
+    fds = _open_fds()
+    result = invoke("field", "--dim", "1", "--n", "3", "--lc", "1", "--grid", "100001",
+                    "--format", "json")
+    assert result.exit_code == 4
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "row-formatting worker could not start" in result.stderr
+    assert len(forked) == cpus - 2
+    _assert_no_child_left()
+    assert _open_fds() == fds
+
+
+def test_without_memory_files_the_process_formats_every_row(monkeypatch):
+    """Where ``os.memfd_create`` is missing, the process counts one CPU and
+    formats a multi-block table alone, into the bytes that 2 CPUs write."""
+    args = ("field", *MULTI_BLOCK_FIELDS["1d-json-2-blocks-and-1-row"][0], "--lc", "1")
+    forked = _affinity(monkeypatch, 2)
+    shared = invoke(*args)
+    assert shared.exit_code == 0 and len(forked) == 1
+    monkeypatch.delattr(os, "memfd_create")
+    assert cli._cpus() == 1
+    assert invoke(*args) == shared
+    assert len(forked) == 1
     _assert_no_child_left()
 
 

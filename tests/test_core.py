@@ -245,13 +245,16 @@ INVALID_VALUES = [
      r"scaled energy must be >= 1, got 0\.5"),
     (lambda: Level("foo", _QNUMS, (1.0, 2.0, 3.0), 2.75, 1), "unknown model 'foo'"),
     (lambda: Level("kg", _QNUMS, (1.0, 2.0, 3.0), 2.75, 0), "degeneracy must be >= 1"),
+    (lambda: Level("kg", _QNUMS, (1.0, 2.0, 3.0), -1.0, 1),
+     r"kinetic energy must be >= 0, got -1\.0"),
     (lambda: SpectrumRequest("kg", _BOX, max_kinetic=0.0), r"max_kinetic must be > 0, got 0\.0"),
 ]
 
 
 @pytest.mark.parametrize("build, message", INVALID_VALUES,
                          ids=["cube-dim-2", "amplitudes-energy-0.5", "level-model-foo",
-                              "level-degeneracy-0", "request-max-kinetic-0"])
+                              "level-degeneracy-0", "level-kinetic-negative",
+                              "request-max-kinetic-0"])
 def test_value_types_refuse_invalid_fields(build, message):
     with pytest.raises(ValueError, match=message):
         build()

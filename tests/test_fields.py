@@ -19,9 +19,9 @@ from relbox import (
 )
 import relbox
 import relbox.fields
-from relbox.fields import _simpson_weights
+from relbox.fields import _simpson_weights, _sine_profiles
 
-from oracles import box_state_closed_form, simpson_integral
+from oracles import box_state_closed_form, exact_simpson_charge, simpson_integral
 
 UNIT_1D = BoxState(box=BoxSpec((1.0,)), qnums=QuantumNumbers((1,)))
 UNIT_CUBE = BoxState(box=BoxSpec.cube(1.0), qnums=QuantumNumbers((1, 1, 1)))
@@ -194,6 +194,43 @@ def test_normalization_keeps_its_digits_where_the_weight_product_is_subnormal(le
     state = BoxState(BoxSpec(lengths), QuantumNumbers((1, 1, 1)))
     for charge, s in ((1.0, state), (-1.0, conjugated_state(state))):
         assert abs(normalization_check(s, GridSpec(61)) - charge) <= 4 * math.ulp(1.0)
+
+
+def _ulps_apart(a: float, b: float) -> int:
+    """Floats from ``a`` to ``b``, two floats of one sign."""
+    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
+
+
+def _random_charge_states(seed: int, count: int):
+    """``count`` (state, grid) pairs, 1D and 3D in turn: axis lengths
+    log-uniform in [1e-100, 1e100], indices 1..5, an odd grid that resolves
+    the state, half of them charge conjugated."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        dim, most = (1, 401) if i % 2 == 0 else (3, 41)
+        lengths = tuple(float(v) for v in 10.0 ** rng.uniform(-100.0, 100.0, dim))
+        indices = tuple(int(v) for v in rng.integers(1, 6, dim))
+        fewest = 2 * max(indices) + 3
+        points = fewest + 2 * int(rng.integers(0, (most - fewest) // 2 + 1))
+        state = BoxState(BoxSpec(lengths), QuantumNumbers(indices), bool(rng.integers(2)))
+        cases.append((state, GridSpec(points)))
+    return cases
+
+
+def test_normalization_is_within_4_ulp_of_its_sampled_density_at_any_box_size():
+    """From boxes of 1e-100 to 1e100 the box-unit quadrature lies within 4
+    floats of the exact Simpson sum of the density it samples, and a 1D
+    state's within 4 floats of its charge, +-1.  A coarse 3D grid's sampled
+    density may itself integrate a few floats farther from +-1, as its
+    sines are taken at rounded arguments."""
+    for state, grid in _random_charge_states(1, 600):
+        charge = -1.0 if state.conjugated else 1.0
+        value = normalization_check(state, grid)
+        exact = exact_simpson_charge(_sine_profiles(state, grid.axes(state.box)), charge)
+        assert _ulps_apart(value, exact) <= 4, (state, grid, value, exact)
+        if state.box.dimension == 1:
+            assert _ulps_apart(value, charge) <= 4, (state, grid, value)
 
 
 def test_simpson_engine_is_fourth_order():

@@ -8,10 +8,11 @@ one block of rows is formatted on the CPUs the process may use, by forked
 workers, into the same bytes for any number of CPUs.  Exit codes, all
 chosen by ``main``: 0 success, 1 output not written (an unwritable
 ``--out``; a closed stdout pipe, silently), 2 bad usage, 3 solver failure,
-4 capacity exceeded (a lattice bound, float64 resolution or the float64
+4 capacity exceeded (the walk budget, float64 resolution or the float64
 range passed; a ``field`` grid too large to allocate; running out of
 memory; a row-formatting worker that failed, was killed or could not
-start).
+start).  ``--out`` is written whole or not at all; stdout, once written,
+cannot be taken back.
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ def _gather(block, ranges) -> Iterator[str]:
     The first range is formatted here, as its pieces are read; each later
     range by a forked worker (``_fork``), whose text is copied out once the
     worker has exited with status 0.  A worker that failed or was killed
-    raises MemoryError before any of its text is copied.  On any exception,
+    raises CapacityError before any of its text is copied.  On any exception,
     and when the generator is closed early, every worker not yet reaped is
     killed and reaped before the generator ends.
     """
@@ -198,7 +199,7 @@ def _gather(block, ranges) -> Iterator[str]:
                 if status:
                     end = (f"was killed by signal {-status}" if status < 0
                            else f"exited with status {status}")
-                    raise MemoryError(f"a row-formatting worker {end}")
+                    raise CapacityError(f"a row-formatting worker {end}")
                 text.seek(0)
                 yield from iter(lambda: text.read(_COPY_CHARS), "")
     finally:
@@ -213,18 +214,19 @@ def _gather(block, ranges) -> Iterator[str]:
 def _fork(block, starts):
     """(pid, text): a forked worker that writes ``block(start)`` for each of
     ``starts`` into an anonymous memory file, and that file opened for
-    reading as UTF-8 text.  A fork that fails raises MemoryError.  The
-    worker ends through ``os._exit`` on every path, with status 0 once its
-    text is written: it never flushes the buffers or runs the exit handlers
-    it inherited."""
-    text = open(os.memfd_create("relbox-rows"), encoding="utf-8", newline="")
+    reading as UTF-8 text.  A memory file or fork that fails raises
+    CapacityError, with no file left open.  The worker ends through
+    ``os._exit`` on every path, with status 0 once its text is written: it
+    never flushes the buffers or runs the exit handlers it inherited."""
     try:
-        pid = os.fork()
-    except BaseException as exc:
-        text.close()
-        if isinstance(exc, OSError):
-            raise MemoryError(f"a row-formatting worker could not start ({exc})") from exc
-        raise
+        text = open(os.memfd_create("relbox-rows"), encoding="utf-8", newline="")
+        try:
+            pid = os.fork()
+        except BaseException:
+            text.close()
+            raise
+    except OSError as exc:
+        raise CapacityError(f"a row-formatting worker could not start ({exc})") from exc
     if pid == 0:
         status = 1
         try:
@@ -264,19 +266,39 @@ def _render(table: dict, config, summary, fmt: str) -> Iterator[str]:
 
 def _emit(table: dict, config, summary, args) -> None:
     # ``_render`` analyses the columns, where a large table's memory goes,
-    # before ``--out`` is opened or anything is written: running out of
-    # memory there leaves no partial output.  Closing the pieces on the way
-    # out ends any row-formatting workers before an exception propagates.
+    # before anything is written: running out of memory there leaves no
+    # partial output, and ``_write_out`` leaves none in ``--out`` on any
+    # failure.  Closing the pieces on the way out ends any row-formatting
+    # workers before an exception propagates.
     pieces = _render(table, config, summary, args.fmt)
     try:
         if args.out is None:
             sys.stdout.writelines(pieces)
             sys.stdout.flush()  # a closed pipe fails here, inside main, not at exit
         else:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-                handle.writelines(pieces)
+            _write_out(args.out, pieces)
     finally:
         pieces.close()
+
+
+def _write_out(path: str, pieces) -> None:
+    """Write ``pieces`` to ``path`` whole or not at all: a regular file, or
+    none yet, through a temporary file beside it (or beside the file a link
+    names), moved over it after the last piece and removed on any exception;
+    anything else (a device, a pipe) as it is.  An OSError names ``path``."""
+    regular = os.path.isfile(path) or not os.path.exists(path)
+    target = os.path.realpath(path)
+    partial = f"{target}.{os.getpid()}.partial" if regular else path
+    try:
+        with open(partial, "w", encoding="utf-8", newline="\n") as handle:
+            handle.writelines(pieces)
+        if regular:
+            os.replace(partial, target)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    finally:
+        if regular and os.path.exists(partial):
+            os.remove(partial)
 
 
 def _fail(code: int, message: str):
@@ -480,9 +502,9 @@ def _field(args) -> None:
     }
     try:
         table, summary = build()
-        _emit(table, config, summary, args)
     except MemoryError as exc:
         raise CapacityError(f"a grid of {grid} points per axis does not fit in memory ({exc})")
+    _emit(table, config, summary, args)
 
 
 def _parser(prog: str) -> argparse.ArgumentParser:

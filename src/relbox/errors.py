@@ -26,13 +26,8 @@ class ConvergenceError(RuntimeError):
 
 
 class CapacityError(RuntimeError):
-    """A level enumeration or count would need indices beyond the lattice
-    bound, or energies beyond the float64 range.
+    """A request passes the work budget of a level enumeration or 3D lattice
+    walk, float64 resolution, or the float64 range; its message names which.
 
     Raised instead of silently truncating the spectrum or returning NaN.
-    ``lattice_max`` is the index bound exceeded, 0 for a float64 overflow.
     """
-
-    def __init__(self, message: str, lattice_max: int = 0):
-        super().__init__(message)
-        self.lattice_max = lattice_max

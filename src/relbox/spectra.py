@@ -36,11 +36,11 @@ __all__ = list(_LAZY_NAMES["spectra"])
 # than this, relatively; closer pairs are merged with summed degeneracy.
 MERGE_REL_TOL = 1e-9
 
-# Enumeration bounds, past which CapacityError is raised: the number of 1D
-# levels returned, and the largest 3D index per axis a mode that can reach
-# the cutoff may have (the 3D lattice is cubic in cost, hence much smaller).
-DEFAULT_LATTICE_MAX_1D = 100_000
-DEFAULT_LATTICE_MAX_3D = 64
+# The most work one request may ask for, past which CapacityError is raised
+# before any of it is solved: the levels of a 1D enumeration, and the (n1, n2)
+# columns plus shell modes of one 3D lattice walk (every model, count and
+# enumeration alike).
+_WALK_BUDGET = 100_000
 
 
 class Level(namedtuple("Level", "model qnums wavenumbers kinetic degeneracy also")):
@@ -130,10 +130,9 @@ def enumerate_levels(request: SpectrumRequest) -> list[Level]:
     (n_i - 1/2) pi / L_i, which bound every root from below) can reach the
     cutoff is solved; in 1D levels rise strictly with n, so they are the
     first ``count`` indices or the ``count_states`` number of them.  If a
-    3D mode that can still matter has an index above
-    ``DEFAULT_LATTICE_MAX_3D``, or there are more 1D levels than
-    ``DEFAULT_LATTICE_MAX_1D``, CapacityError is raised before the levels
-    are solved rather than silently truncating.
+    3D walk visits more columns and shell modes than ``_WALK_BUDGET``, or
+    there are more 1D levels than it, CapacityError is raised before that
+    walk's modes or those levels are solved, rather than truncating.
     """
     if request.box.dimension == 1:
         return _enumerate_1d(request)
@@ -156,8 +155,9 @@ def count_states(
     hi <= T (1 - 2 MERGE_REL_TOL), the interior, count as they are (in 3D
     one floor per (n1, n2) column); modes with lo > T (1 + MERGE_REL_TOL)
     cannot reach the cutoff, as in enumeration; only the shell in between
-    is solved and merged.  ``DEFAULT_LATTICE_MAX_3D`` bounds the indices of
-    the 3D spin-1/2 modes that must be solved; counting alone needs no cap.
+    is solved and merged, so merged levels define the count.  Each 3D walk
+    is bounded by ``_WALK_BUDGET``: a box whose levels chain-merge so far
+    below the cutoff that the deepened shell passes it is refused.
     """
     SpectrumRequest(model=model, box=box, max_kinetic=max_kinetic)  # validates
     if not math.isfinite(max_kinetic):
@@ -165,7 +165,8 @@ def count_states(
     if box.dimension == 1:
         total = _count_1d(model, box.lengths[0], max_kinetic)
     else:
-        total = _count_3d(model, box, max_kinetic)
+        walk, limit = _lattice_walk(model, box), max_kinetic * (1.0 + MERGE_REL_TOL)
+        total = _count_from_shell(lambda threshold: walk(threshold, limit), max_kinetic)
     return total * _spin_factor(model, spin_counting)
 
 
@@ -195,9 +196,7 @@ def _count_1d(model: str, length: float, max_kinetic: float) -> int:
     edge = length * math.sqrt(_norm_sq_budget(model, limit)) / math.pi
     edge += 0.5 if model == "dirac" else 0.0
     if not edge < _MAX_1D_INDEX:
-        raise CapacityError(
-            "1D count needs indices above 2**53 (float64 resolution)", lattice_max=_MAX_1D_INDEX
-        )
+        raise CapacityError("1D count needs indices above 2**53 (float64 resolution)")
     lo = math.floor(length * math.sqrt(budget) / math.pi)
     hi = math.floor(edge) + 2  # one more than a rounding slip of edge can reach
     while hi - lo > 1:
@@ -210,12 +209,6 @@ def _count_1d(model: str, length: float, max_kinetic: float) -> int:
         else:
             hi = mid
     return lo
-
-
-def _count_3d(model: str, box: BoxSpec, max_kinetic: float) -> int:
-    walk = _lattice_walk(model, box)
-    limit = max_kinetic * (1.0 + MERGE_REL_TOL)
-    return _count_from_shell(lambda threshold: walk(threshold, limit), max_kinetic)
 
 
 def _lattice_walk(model: str, box: BoxSpec):
@@ -240,10 +233,11 @@ def _split_lattice(model: str, box: BoxSpec, threshold: float, limit: float):
     only sorted triples n1 <= n2 <= n3, each weighted by its 1, 3 or 6
     permutations.  A column's interior is every n3 up to one floor of the
     spin-0 budget left at ``threshold``; its shell goes on from there while
-    lo <= limit, tested in the arithmetic enumeration uses.  A spin-1/2
-    shell triple with an index above ``DEFAULT_LATTICE_MAX_3D`` raises
-    CapacityError as the walk reaches it, before the rest of the shell is
-    listed: no triple past the cap is solved.
+    lo <= limit, tested in the arithmetic enumeration uses.  One count of
+    the columns and shell triples visited raises CapacityError as it passes
+    ``_WALK_BUDGET``, before the rest of the walk: a refused walk solves
+    nothing.  Every passing n1 test opens a column, so the walk's time is
+    bounded with its count.
 
     An overflowing lower bound (+inf) lies above ``limit`` only where the
     budget at ``limit`` is finite, so a ``limit`` whose budget overflows is
@@ -251,15 +245,15 @@ def _split_lattice(model: str, box: BoxSpec, threshold: float, limit: float):
     """
     lengths = box.lengths
     cube = box.is_cube
-    cap = DEFAULT_LATTICE_MAX_3D
     if _norm_sq_budget(model, limit) == math.inf:
         raise CapacityError(f"|x|^2 at kinetic energy {limit} overflows float64")
     budget = _norm_sq_budget(model, threshold)
-    inside, shell = 0, []
+    inside, shell, steps = 0, [], 0
     n1 = 1
     while _lower_bound(model, (n1, n1, n1) if cube else (n1, 1, 1), lengths) <= limit:
         n2 = n1 if cube else 1
         while _lower_bound(model, (n1, n2, n2) if cube else (n1, n2, 1), lengths) <= limit:
+            steps = _step(steps)
             first = n2 if cube else 1
             rest = budget - (n1 * math.pi / lengths[0]) ** 2 - (n2 * math.pi / lengths[1]) ** 2
             last = math.floor(lengths[2] * math.sqrt(rest) / math.pi) if rest > 0.0 else 0
@@ -271,16 +265,22 @@ def _split_lattice(model: str, box: BoxSpec, threshold: float, limit: float):
                 )
             n3 = max(last + 1, first)
             while _lower_bound(model, (n1, n2, n3), lengths) <= limit:
-                if model == "dirac" and max(n1, n2, n3) > cap:
-                    raise CapacityError(
-                        f"3D count needs spin-1/2 solves above the lattice bound {cap}",
-                        lattice_max=cap,
-                    )
+                steps = _step(steps)
                 shell.append(((n1, n2, n3), _cubic_multiplicity((n1, n2, n3)) if cube else 1))
                 n3 += 1
             n2 += 1
         n1 += 1
     return inside, shell
+
+
+def _step(steps: int) -> int:
+    """``steps + 1``; CapacityError where that passes ``_WALK_BUDGET``."""
+    if steps >= _WALK_BUDGET:
+        raise CapacityError(
+            f"3D lattice walk visits more columns and shell modes than the walk budget "
+            f"{_WALK_BUDGET}"
+        )
+    return steps + 1
 
 
 def _count_from_shell(split, max_kinetic: float) -> int:
@@ -334,18 +334,12 @@ def _count_shell(entries, top: float | None, max_kinetic: float) -> int | None:
     return sum(weight for _, weight in ordered)
 
 
-def _lower_bound_wavenumber(model: str, n: int, length: float) -> float:
-    if model == "dirac":
-        return (n - 0.5) * math.pi / length
-    return n * math.pi / length
-
-
 def _lower_bound(model: str, indices: tuple[int, ...], lengths) -> float:
     """Kinetic energy at the lower edge of every axis's wavenumber range:
     the energy itself for kg and nonrel, a bound below it for spin-1/2."""
-    return dispersion(model, tuple(
-        _lower_bound_wavenumber(model, n, length) for n, length in zip(indices, lengths)
-    ))
+    shift = 0.5 if model == "dirac" else 0.0
+    xs = tuple((n - shift) * math.pi / length for n, length in zip(indices, lengths))
+    return dispersion(model, xs)
 
 
 def _enumerate_1d(request: SpectrumRequest) -> list[Level]:
@@ -357,11 +351,9 @@ def _enumerate_1d(request: SpectrumRequest) -> list[Level]:
         raise CapacityError(
             f"kinetic energy of indices {(last,)} in box {(length,)} overflows float64"
         )
-    cap = DEFAULT_LATTICE_MAX_1D
-    if last > cap:
+    if last > _WALK_BUDGET:
         raise CapacityError(
-            f"1D enumeration needs {last} levels, above the lattice bound {cap}",
-            lattice_max=cap,
+            f"1D enumeration needs {last} levels, above the walk budget {_WALK_BUDGET}"
         )
     spin = _spin_factor(model, request.spin_counting)
     return [level_1d(model, n, length)._replace(degeneracy=spin) for n in range(1, last + 1)]
@@ -392,21 +384,19 @@ def _enumerate_3d(request: SpectrumRequest) -> list[Level]:
     the first entry more than MERGE_REL_TOL above the previous start, so
     adding modes never raises the count-th start (by induction over the
     starts, the threshold rising with the start), and K <= K'.  The next
-    round solves every mode up to K' and ends.  Lower bounds rise with every
-    index, so the reach stays below the smallest bound of a mode with an
-    index above ``DEFAULT_LATTICE_MAX_3D``, and the request raises
-    CapacityError, without walking past that bound, if its
-    T (1 + MERGE_REL_TOL) reaches it.  Where that bound overflows (+inf),
-    the reach stops instead at the largest cutoff whose |x|^2 budget is
-    finite, and a count-th level past it is refused as an overflow.
+    round solves every mode up to K' and ends.  The reach stops at the
+    largest cutoff whose |x|^2 budget is finite, and a count-th level past
+    it is refused as an overflow.
+
+    Every round's walk is bounded by ``_WALK_BUDGET``.  A budget refusal
+    never hides a level that a smaller budget would return: the reaches
+    depend on the levels alone, not on the budget, so every budget walks
+    the same rounds, each visiting the same columns and shell modes, until
+    one round passes its budget.  A smaller budget is passed in that round
+    or an earlier one.
     """
     model, box = request.model, request.box
     spin = _spin_factor(model, request.spin_counting)
-    cap = DEFAULT_LATTICE_MAX_3D
-    bound = min(
-        _lower_bound(model, (1,) * axis + (cap + 1,) + (1,) * (2 - axis), box.lengths)
-        for axis in range(3)
-    )
     walk = _lattice_walk(model, box)
 
     def merged(reach):
@@ -416,9 +406,7 @@ def _enumerate_3d(request: SpectrumRequest) -> list[Level]:
     margin = 1.0 + MERGE_REL_TOL
     cutoff, count = request.max_kinetic, request.count
     if count is not None:
-        top = math.nextafter(bound, -math.inf)  # walks stop below every mode past the cap
-        if bound == math.inf:
-            top = sys.float_info.max / 2.0 if model == "nonrel" else math.sqrt(sys.float_info.max)
+        top = sys.float_info.max / 2.0 if model == "nonrel" else math.sqrt(sys.float_info.max)
         reach = _lower_bound(model, (1, 1, 1), box.lengths)
         while True:
             reach = min(reach, top)
@@ -427,20 +415,13 @@ def _enumerate_3d(request: SpectrumRequest) -> list[Level]:
                 cutoff = levels[count - 1].kinetic * margin
                 break
             if not reach < top:
-                if bound == math.inf:
-                    raise CapacityError(
-                        f"kinetic energy of level {count} in box {box.lengths} overflows float64"
-                    )
-                cutoff = math.inf  # the count-th level lies past the bound
-                break
+                raise CapacityError(
+                    f"kinetic energy of level {count} in box {box.lengths} overflows float64"
+                )
             if len(levels) >= count:
                 reach = levels[count - 1].kinetic
             else:
                 reach = max(2.0 * reach, math.ulp(0.0))  # a lower bound can underflow to 0
-    if not bound > cutoff * margin:
-        raise CapacityError(
-            f"3D enumeration needs indices above the lattice bound {cap}", lattice_max=cap
-        )
     return [lv for lv in merged(cutoff * margin) if lv.kinetic <= cutoff][:count]
 
 

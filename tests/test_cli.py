@@ -431,44 +431,57 @@ def test_count_rejects_an_infinite_cutoff():
     assert "finite" in result.stderr
 
 
-def test_count_capacity_exit_code_only_for_spin_half_shell_solves():
+def test_count_of_a_spin_half_shell_up_to_index_96_answers():
+    """Shell modes of the unit cube at T = 300 reach index 96 on an axis, in
+    1839 solves: the count (checked against an independent count in
+    ``tests/test_spectra.py``) answers."""
     result = invoke("count", "--dim", "3", "--model", "dirac", "--lc", "1",
-                    "--tmax", "300")
-    assert result.exit_code == 4
-    assert "lattice bound" in result.stderr
+                    "--tmax", "300", "--format", "json")
+    assert result.exit_code == 0
+    assert json.loads(result.stdout)["rows"][0]["count"] == 457573
 
 
-@pytest.mark.parametrize("tmax", ["30000", "1e12"])
-def test_count_far_past_the_lattice_bound_is_refused_at_once(tmax):
-    """A 3D spin-1/2 count whose shell lies far past the lattice bound is
-    refused at the first shell mode past it, not after listing the whole
-    shell (which ran for minutes and grew to gigabytes at ``--tmax 1e12``):
-    exit 4 within seconds, inside a 1 GB address space."""
+_WALK_BUDGET_REFUSAL = "3D lattice walk visits more columns and shell modes than the walk budget"
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(("--lc", "1", "--tmax", "30000", "--model", "dirac"), id="30000"),
+    pytest.param(("--lc", "1", "--tmax", "1e12", "--model", "dirac"), id="1e12"),
+    pytest.param(("--lc", "1", "--tmax", "1e12", "--model", "kg"), id="kg-1e12"),
+    pytest.param(("--lc", "1e6", "--tmax", "1", "--model", "kg"), id="kg-lc-1e6"),
+    pytest.param(("--lc", "1", "--tmax", "1e8", "--model", "nonrel"), id="nonrel-1e8"),
+    pytest.param(("--lengths", "1,1,1e10", "--tmax", "10"), id="chain-merged-1e10"),
+])
+def test_count_far_past_the_lattice_bound_is_refused_at_once(args):
+    """A 3D count whose walk passes the walk budget is refused as the walk
+    passes it, before any solve, not after listing the whole shell (which ran
+    for minutes and grew to gigabytes at ``--tmax 1e12``) or walking every
+    column (~1e22 of them for kg at ``--tmax 1e12``).  Along the 1e10 axis
+    the levels merge in one chain, so no depth of the shell settles the
+    count.  Each exits 4 within seconds, inside a 1 GB address space."""
     resource = pytest.importorskip("resource")
     limit = 1 << 30
 
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    done = _run_python("-m", "relbox", "count", "--dim", "3", "--lc", "1", "--tmax", tmax,
-                       "--model", "dirac", timeout=10, preexec_fn=cap_address_space)
+    done = _run_python("-m", "relbox", "count", "--dim", "3", *args, timeout=10,
+                       preexec_fn=cap_address_space)
     assert done.returncode == 4, done.stderr
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
-    assert "lattice bound 64" in done.stderr
+    assert f"{_WALK_BUDGET_REFUSAL} 100000" in done.stderr
 
 
 @pytest.mark.parametrize("args, message", [
-    (("count", "--dim", "3", "--lc", "1", "--tmax", "300", "--model", "dirac"),
-     "3D count needs spin-1/2 solves above the lattice bound 64"),
     (("count", "--dim", "3", "--lc", "1", "--tmax", "30000", "--model", "dirac"),
-     "3D count needs spin-1/2 solves above the lattice bound 64"),
+     f"{_WALK_BUDGET_REFUSAL} 100000"),
     (("spectrum", "--dim", "3", "--lc", "1", "--tmax", "1e6", "--model", "kg"),
-     "3D enumeration needs indices above the lattice bound 64"),
+     f"{_WALK_BUDGET_REFUSAL} 100000"),
     (("spectrum", "--dim", "1", "--lc", "1", "--levels", "200000", "--model", "kg"),
-     "1D enumeration needs 200000 levels, above the lattice bound 100000"),
+     "1D enumeration needs 200000 levels, above the walk budget 100000"),
     (("count", "--dim", "1", "--lc", "1e300", "--tmax", "1e10"),
      "1D count needs indices above 2**53 (float64 resolution)"),
-], ids=["count-3d-300", "count-3d-30000", "spectrum-3d", "spectrum-1d", "count-1d"])
+], ids=["count-3d-30000", "spectrum-3d", "spectrum-1d", "count-1d"])
 def test_capacity_refusal_names_its_bound_once(args, message):
     """Each refusal is the library's own message on one line, exit 4."""
     result = invoke(*args)
@@ -527,7 +540,7 @@ def test_capacity_exit_code():
     result = invoke("spectrum", "--dim", "3", "--model", "kg", "--lc", "1",
                     "--tmax", "1000")
     assert result.exit_code == 4
-    assert "lattice bound" in result.stderr
+    assert "walk budget" in result.stderr
 
 
 def _no_convergence(*args, **kwargs):
@@ -859,6 +872,37 @@ def test_failed_row_worker_fails_the_command(monkeypatch, tmp_path, child, args)
     assert result.exit_code == 4
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
     assert "row-formatting worker" in result.stderr
+    assert "does not fit in memory" not in result.stderr
+    assert "out of memory" not in result.stderr
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("existing", [None, b"an earlier table\n"], ids=["absent", "present"])
+def test_failed_row_worker_leaves_out_as_it_was(monkeypatch, tmp_path, existing):
+    """The process writes its own rows before it reaps a worker; when the
+    worker failed, ``--out`` is left absent, or unchanged where it existed,
+    and no temporary file is left beside it."""
+    _affinity(monkeypatch, 2)
+    fork = os.fork
+
+    def failing_fork():
+        pid = fork()
+        if pid == 0:
+            _broken_child_formatting()
+        return pid
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    out = tmp_path / "field.json"
+    if existing is not None:
+        out.write_bytes(existing)
+    result = invoke("field", "--dim", "1", "--n", "3", "--lc", "1", "--grid", "100001",
+                    "--format", "json", "--out", str(out))
+    assert result.exit_code == 4
+    assert "row-formatting worker exited with status 1" in result.stderr
+    if existing is None:
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert list(tmp_path.iterdir()) == [out] and out.read_bytes() == existing
     _assert_no_child_left()
 
 
@@ -888,6 +932,27 @@ def test_row_worker_that_cannot_start_fails_the_command(monkeypatch, cpus):
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
     assert "row-formatting worker could not start" in result.stderr
     assert len(forked) == cpus - 2
+    _assert_no_child_left()
+    assert _open_fds() == fds
+
+
+def test_row_worker_without_a_memory_file_fails_the_command(monkeypatch):
+    """A memory file refused for want of descriptors (EMFILE) makes the
+    command exit 4 with one error line naming the worker; nothing is forked
+    and no descriptor is left open."""
+    forked = _affinity(monkeypatch, 2)
+
+    def no_descriptor(name):
+        raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+    monkeypatch.setattr(os, "memfd_create", no_descriptor)
+    fds = _open_fds()
+    result = invoke("field", "--dim", "1", "--n", "3", "--lc", "1", "--grid", "100001",
+                    "--format", "json")
+    assert result.exit_code == 4
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "row-formatting worker could not start" in result.stderr
+    assert forked == []
     _assert_no_child_left()
     assert _open_fds() == fds
 

@@ -31,7 +31,7 @@ from relbox.spectra import (
     _merge_sorted,
 )
 
-from oracles import lattice_count, lattice_levels, weyl_count
+from oracles import lattice_count, lattice_levels, newton_wavenumbers_3d, weyl_count
 
 # Kinetic energy of the first spin-1/2 level in the unit 1D box, from the
 # bisection root y_1 = 2.0287578381104342 through sqrt(x^2 + 1) - 1.
@@ -499,16 +499,67 @@ def test_spectrum_table_validation():
 
 
 def test_capacity_error_is_explicit(monkeypatch):
-    monkeypatch.setattr(relbox.spectra, "DEFAULT_LATTICE_MAX_3D", 8)
+    monkeypatch.setattr(relbox.spectra, "_WALK_BUDGET", 16)
     req = SpectrumRequest(model="kg", box=BoxSpec.cube(1.0), max_kinetic=1000.0)
-    with pytest.raises(CapacityError) as excinfo:
+    with pytest.raises(CapacityError, match="shell modes than the walk budget 16$"):
         enumerate_levels(req)
-    assert excinfo.value.lattice_max == 8
-    monkeypatch.setattr(relbox.spectra, "DEFAULT_LATTICE_MAX_1D", 16)
     req1d = SpectrumRequest(model="kg", box=BoxSpec((1.0,)), max_kinetic=1000.0)
-    with pytest.raises(CapacityError) as excinfo:
+    with pytest.raises(CapacityError, match="^1D enumeration needs 318 levels, above the walk "
+                                            "budget 16$"):
         enumerate_levels(req1d)
-    assert excinfo.value.lattice_max == 16
+
+
+# Requests whose largest 3D walk visits 145 to 1278 columns and shell modes.
+_BUDGETED_REQUESTS = {
+    "count-dirac-cube": lambda: count_states("dirac", BoxSpec.cube(1.0), 100.0),
+    "count-nonrel-box": lambda: count_states("nonrel", BoxSpec((1.0, 2.0, 3.0)), 500.0),
+    "levels-kg-cube": lambda: enumerate_levels(SpectrumRequest("kg", BoxSpec.cube(1.0),
+                                                               count=200)),
+    "levels-dirac-box": lambda: enumerate_levels(
+        SpectrumRequest("dirac", BoxSpec((1.0, 1.3, 1.7)), max_kinetic=30.0)),
+}
+
+
+@pytest.mark.parametrize("request_name", sorted(_BUDGETED_REQUESTS))
+def test_a_smaller_walk_budget_never_answers_what_a_larger_refuses(monkeypatch, request_name):
+    """Each budget either gives the answer of the default budget or refuses
+    with a message naming itself, and once a budget refuses, every smaller
+    one refuses too: the walks do not depend on the budget."""
+    run = _BUDGETED_REQUESTS[request_name]
+    answer = run()
+    outcomes = []
+    for budget in (10_000, 3_000, 1_000, 300, 100, 30, 10, 3, 1):
+        monkeypatch.setattr(relbox.spectra, "_WALK_BUDGET", budget)
+        try:
+            outcomes.append(run() == answer)
+        except CapacityError as exc:
+            assert str(exc).endswith(f"the walk budget {budget}")
+            outcomes.append(None)
+    assert all(outcomes[:outcomes.index(None)])
+    assert set(outcomes[outcomes.index(None):]) == {None}
+
+
+def test_dirac_count_up_to_index_96_matches_an_independent_count():
+    """At L = 1, T = 300 spin-1/2 shell modes reach index 96.  Every mode
+    whose spin-0 energy is at most T counts (its spin-1/2 energy is lower);
+    the 1839 sorted triples above it whose branch-edge energy reaches T are
+    solved by the Newton oracle, none within 1e-8 of T, so no merged level
+    crosses the cutoff."""
+    cutoff = 300.0
+
+    def kinetic(triple, shift=0.0):
+        return _relativistic_kinetic(sum(((n - shift) * math.pi) ** 2 for n in triple))
+
+    triples = list(itertools.combinations_with_replacement(range(1, 101), 3))
+    # no spin-0 energy within rounding of T, so lattice_count splits as this test does
+    assert all(abs(kinetic(t) - cutoff) > 1e-9 * cutoff for t in triples)
+    interior = lattice_count((1.0,) * 3, cutoff, 100)
+    shell = [t for t in triples if kinetic(t, 0.5) <= cutoff < kinetic(t)]
+    assert len(shell) == 1839 and max(map(max, shell)) == 96
+    solved = [newton_wavenumbers_3d(t, (1.0,) * 3)[3] for t in shell]
+    assert all(abs(k - cutoff) > 1e-8 * cutoff for k in solved)
+    counted = sum(_cubic_multiplicity(t) for t, k in zip(shell, solved) if k <= cutoff)
+    assert count_states("dirac", BoxSpec.cube(1.0), cutoff) == interior + counted == 457573
 
 
 @pytest.mark.parametrize("model", ["kg", "dirac"])

@@ -15,6 +15,7 @@ from relbox import (
     dirac_wavenumber_1d,
     dirac_wavenumbers_3d,
     enumerate_levels,
+    level_3d,
 )
 
 BOX = BoxSpec.cube(300.0)
@@ -34,8 +35,9 @@ print(f"spin-0 degeneracies sum to {total} spatial modes")
 print()
 print("strongly relativistic cube (side 1): the coupled solve in action")
 for triple in [(1, 1, 1), (1, 1, 2), (1, 2, 3)]:
-    x1, x2, x3, kinetic = dirac_wavenumbers_3d(QuantumNumbers(triple), BoxSpec.cube(1.0))
-    print(f"  n={triple}: x = ({x1:.6f}, {x2:.6f}, {x3:.6f})  T = {kinetic:.6f}")
+    level = level_3d("dirac", QuantumNumbers(triple), BoxSpec.cube(1.0))
+    x1, x2, x3 = level.wavenumbers
+    print(f"  n={triple}: x = ({x1:.6f}, {x2:.6f}, {x3:.6f})  T = {level.kinetic:.6f}")
 
 print()
 print("one dominant axis reduces to the one-dimensional equation:")

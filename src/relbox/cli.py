@@ -4,8 +4,9 @@ Three subcommands (``spectrum``, ``count``, ``field``) emit deterministic
 CSV or JSON.  Floats are serialized with 17 significant digits in CSV and in
 their shortest round-trip form (``repr``) in JSON, so repeated runs are
 byte-identical and values survive a parse round trip.  A table of more than
-one block of rows is formatted on the CPUs the process may use, by forked
-workers, into the same bytes for any number of CPUs.  Exit codes, all
+one block of rows with cells to format one by one is formatted by forked
+workers on the CPUs the process may use, into the same bytes for any number
+of CPUs.  Exit codes, all
 chosen by ``main``: 0 success, 1 output not written (an unwritable
 ``--out``; a closed stdout pipe, silently), 2 bad usage, 3 solver failure,
 4 capacity exceeded (the walk budget, float64 resolution or the float64
@@ -132,9 +133,11 @@ def _format_rows(table: dict, nrows: int, fmt: str) -> Iterator[str]:
     the items of the JSON ``rows`` list.  The columns are analysed at the
     call, before the first block is formatted.
 
-    The blocks are split into contiguous ranges, one per CPU the process
-    may use, and formatted by ``_gather``; a one-block table is formatted
-    by this process alone.
+    Where a column formats cell by cell (``%.17g``, ``%r``, ``%d``), the
+    blocks are split into contiguous ranges, one per CPU the process may
+    use, and formatted by ``_gather``; otherwise (every 3D ``field`` table,
+    whose cells are strings already) or for one block, this process formats
+    them alone, which costs less than a worker's fork and copy.
     """
     specs, cells = zip(*(_column(values, fmt) for values in table.values()))
     cells = [c for c in cells if c is not None]
@@ -158,7 +161,7 @@ def _format_rows(table: dict, nrows: int, fmt: str) -> Iterator[str]:
         return (sep if start else "") + template % tuple(flat)
 
     starts = range(0, nrows, size)
-    count = min(_cpus(), len(starts))
+    count = min(_cpus(), len(starts)) if {"%.17g", "%r", "%d"} & set(specs) else 1
     ranges = [starts[i * len(starts) // count:(i + 1) * len(starts) // count]
               for i in range(count)]
     return _gather(block, ranges)
@@ -306,6 +309,11 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
+def _why(exc: BaseException) -> str:
+    """`` (message)`` of ``exc``, or nothing where it has none."""
+    return f" ({exc})" if str(exc) else ""
+
+
 def _unwritten(exc: OSError) -> int:
     """The exit code, 1, of output that could not be written, after one
     ``error:`` line.  A stdout pipe whose reader is gone ends silently
@@ -441,7 +449,7 @@ def _field(args) -> None:
     stationarity residual.  In CSV the summary appears as leading '#'
     comment lines.  The grid must put more than two intervals on every
     half-wavelength (grid - 1 > 2 n_i), where the quadrature stops aliasing.
-    A table of more than 8192 rows is split over every CPU the process may
+    A 1D table of more than 8192 rows is split over every CPU the process may
     use, into the same rows for any CPU count ('taskset -c 0' gives one).
     """
     import numpy as np
@@ -503,7 +511,7 @@ def _field(args) -> None:
     try:
         table, summary = build()
     except MemoryError as exc:
-        raise CapacityError(f"a grid of {grid} points per axis does not fit in memory ({exc})")
+        raise CapacityError(f"a grid of {grid} points per axis does not fit in memory{_why(exc)}")
     _emit(table, config, summary, args)
 
 
@@ -587,7 +595,7 @@ def main(args=None, prog_name: str = "relbox", standalone_mode: bool = True) -> 
     except CapacityError as exc:
         _fail(4, str(exc))
     except MemoryError as exc:
-        _fail(4, f"out of memory ({exc})")
+        _fail(4, f"out of memory{_why(exc)}")
     except OSError as exc:
         sys.exit(_unwritten(exc))
 

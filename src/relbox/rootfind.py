@@ -19,7 +19,7 @@ from collections.abc import Callable
 
 from . import _LAZY_NAMES
 from .core import BoxSpec, QuantumNumbers, dispersion
-from .errors import CapacityError, ConvergenceError
+from .errors import ConvergenceError
 
 __all__ = list(_LAZY_NAMES["rootfind"])
 
@@ -117,10 +117,8 @@ def kg_wavenumbers_3d(qnums: QuantumNumbers, box: BoxSpec) -> tuple[float, float
     return tuple(n[i] * math.pi / lengths[i] for i in range(3))
 
 
-def dirac_wavenumbers_3d(
-    qnums: QuantumNumbers, box: BoxSpec
-) -> tuple[float, float, float, float]:
-    """Self-consistent spin-1/2 wavenumbers (x1, x2, x3) and kinetic energy.
+def dirac_wavenumbers_3d(qnums: QuantumNumbers, box: BoxSpec) -> tuple[float, float, float]:
+    """Self-consistent spin-1/2 wavenumbers (x1, x2, x3), one per axis.
 
     Each axis must satisfy
 
@@ -146,13 +144,9 @@ def dirac_wavenumbers_3d(
     float64 limit would otherwise leave the last bit alternating.
 
     Where the spin-0 |x|^2 overflows float64, the first sweep takes
-    e = |x| + 2 (T = |x| to rounding there).  Raises CapacityError where the
-    returned wavenumbers' own |x|^2 overflows.
-
-    Returns
-    -------
-    (x1, x2, x3, kinetic) where kinetic is recomputed from the returned
-    wavenumbers.
+    e = |x| + 2 (T = |x| to rounding there).  The wavenumbers are returned
+    even where their own |x|^2 overflows; ``relbox.spectra.level_3d`` refuses
+    such a level.
     """
     _check_3d_args(qnums, box)
     n = qnums.indices
@@ -169,12 +163,7 @@ def dirac_wavenumbers_3d(
         xs = roots
         history.append(rel_change)
         if rel_change < _SWEEP_REL_TOL or not descending:
-            kinetic = dispersion("dirac", xs)
-            if kinetic == math.inf:
-                raise CapacityError(
-                    f"kinetic energy of indices {n} in box {lengths} overflows float64"
-                )
-            return (xs[0], xs[1], xs[2], kinetic)
+            return tuple(xs)
     raise ConvergenceError(
         f"3D solve for indices {n} in box {lengths} still changing by "
         f"{history[-1]:.3e} after {len(history)} sweeps",

@@ -86,10 +86,14 @@ class SpectrumRequest(
 
 
 def _norm_sq_budget(model: str, kinetic: float) -> float:
-    """Largest |x|^2 whose kinetic energy is at most ``kinetic`` (0 if < 0)."""
+    """Largest |x|^2 whose kinetic energy is at most ``kinetic`` (0 if < 0);
+    CapacityError where it overflows float64."""
     if kinetic <= 0.0:
         return 0.0
-    return 2.0 * kinetic if model == "nonrel" else kinetic * (kinetic + 2.0)
+    budget = 2.0 * kinetic if model == "nonrel" else kinetic * (kinetic + 2.0)
+    if budget == math.inf:
+        raise CapacityError(f"|x|^2 at kinetic energy {kinetic} overflows float64")
+    return budget
 
 
 def _spin_factor(model: str, spin_counting: bool) -> int:
@@ -104,10 +108,7 @@ def level_1d(model: str, n: int, box_length: float) -> Level:
 
 def level_3d(model: str, qnums: QuantumNumbers, box: BoxSpec) -> Level:
     """One 3D level of the given model (degeneracy left at 1)."""
-    if model == "dirac":
-        xs = dirac_wavenumbers_3d(qnums, box)[:3]
-    else:
-        xs = kg_wavenumbers_3d(qnums, box)
+    xs = (dirac_wavenumbers_3d if model == "dirac" else kg_wavenumbers_3d)(qnums, box)
     return _level(model, qnums, box.lengths, xs)
 
 
@@ -190,13 +191,13 @@ def _count_1d(model: str, length: float, max_kinetic: float) -> int:
     L sqrt(|x|^2 max) / pi at the interior threshold counts; no n past the
     branch-edge bound at T (1 + MERGE_REL_TOL) can; the last n that counts
     is bisected in between, tested in the arithmetic enumeration uses."""
-    budget = _norm_sq_budget(model, max_kinetic * (1.0 - 2.0 * MERGE_REL_TOL))
     limit = max_kinetic * (1.0 + MERGE_REL_TOL)
     # the largest n whose branch-edge (lower-bound) wavenumber fits the limit
     edge = length * math.sqrt(_norm_sq_budget(model, limit)) / math.pi
     edge += 0.5 if model == "dirac" else 0.0
     if not edge < _MAX_1D_INDEX:
         raise CapacityError("1D count needs indices above 2**53 (float64 resolution)")
+    budget = _norm_sq_budget(model, max_kinetic * (1.0 - 2.0 * MERGE_REL_TOL))
     lo = math.floor(length * math.sqrt(budget) / math.pi)
     hi = math.floor(edge) + 2  # one more than a rounding slip of edge can reach
     while hi - lo > 1:
@@ -240,13 +241,13 @@ def _split_lattice(model: str, box: BoxSpec, threshold: float, limit: float):
     bounded with its count.
 
     An overflowing lower bound (+inf) lies above ``limit`` only where the
-    budget at ``limit`` is finite, so a ``limit`` whose budget overflows is
-    refused; ``threshold`` is below it in every caller.
+    budget at ``limit`` is finite, so that budget is taken first, which
+    refuses a ``limit`` whose budget overflows; ``threshold`` is below it in
+    every caller.
     """
     lengths = box.lengths
     cube = box.is_cube
-    if _norm_sq_budget(model, limit) == math.inf:
-        raise CapacityError(f"|x|^2 at kinetic energy {limit} overflows float64")
+    _norm_sq_budget(model, limit)
     budget = _norm_sq_budget(model, threshold)
     inside, shell, steps = 0, [], 0
     n1 = 1

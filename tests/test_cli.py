@@ -418,7 +418,8 @@ def test_count_1d_kg_beyond_the_enumeration_bound_is_the_closed_form():
 
 
 def test_count_3d_kg_beyond_the_enumeration_bound():
-    """Indices up to 318 on the unit cube: counted by columns, no lattice cap."""
+    """Indices up to 318 on the unit cube: counted by columns, within the walk
+    budget."""
     result = invoke("count", "--dim", "3", "--model", "kg", "--lc", "1",
                     "--tmax", "1000", "--format", "json")
     assert result.exit_code == 0
@@ -481,7 +482,14 @@ def test_count_far_past_the_lattice_bound_is_refused_at_once(args):
      "1D enumeration needs 200000 levels, above the walk budget 100000"),
     (("count", "--dim", "1", "--lc", "1e300", "--tmax", "1e10"),
      "1D count needs indices above 2**53 (float64 resolution)"),
-], ids=["count-3d-30000", "spectrum-3d", "spectrum-1d", "count-1d"])
+    (("count", "--dim", "1", "--lc", "1e-300", "--tmax", "1e300"),
+     "|x|^2 at kinetic energy 1.0000000010000002e+300 overflows float64"),
+    (("spectrum", "--dim", "1", "--lc", "1", "--tmax", "1e300"),
+     "|x|^2 at kinetic energy 1.0000000010000002e+300 overflows float64"),
+    (("count", "--dim", "3", "--lc", "1e-300", "--tmax", "1e300"),
+     "|x|^2 at kinetic energy 1.0000000010000002e+300 overflows float64"),
+], ids=["count-3d-30000", "spectrum-3d", "spectrum-1d", "count-1d", "count-1d-overflow",
+        "spectrum-1d-overflow", "count-3d-overflow"])
 def test_capacity_refusal_names_its_bound_once(args, message):
     """Each refusal is the library's own message on one line, exit 4."""
     result = invoke(*args)
@@ -560,6 +568,20 @@ def test_field_grid_beyond_memory_exit_code():
 
 def _out_of_memory(*args, **kwargs):
     raise MemoryError
+
+
+@pytest.mark.parametrize("target, line", [
+    ("relbox.cli._column", "out of memory"),
+    ("relbox.fields.BoxState.evaluate", "a grid of 201 points per axis does not fit in memory"),
+], ids=["emission", "evaluation"])
+def test_memory_error_without_a_message_is_one_plain_line(monkeypatch, target, line):
+    """A bare MemoryError, as a failed allocation raises it, adds no empty
+    parentheses to its error line."""
+    monkeypatch.setattr(target, _out_of_memory)
+    result = invoke("field", "--dim", "1", "--n", "1", "--lc", "1")
+    assert result.exit_code == 4
+    assert result.stdout == ""
+    assert result.stderr == f"error: {line}\n"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -784,13 +806,13 @@ def test_render_field_tables_of_the_workload_shapes(monkeypatch, args, fmt):
 
 
 # Field tables of many blocks, as (arguments, whether rows are formatted by
-# workers).  Every table of more than one block is split over the CPUs, the
-# 3D CSV table too, although its cells are all formatted strings (every
-# column has few distinct values).
+# workers).  A table of more than one block is split over the CPUs where a
+# column still formats cell by cell; the 3D CSV table is not, as its cells
+# are all formatted strings (every column has few distinct values).
 MULTI_BLOCK_FIELDS = {
     "1d-json-13-blocks": (("--dim", "1", "--n", "3", "--grid", "100001", "--format", "json"),
                           True),
-    "3d-csv-9-blocks": (("--dim", "3", "--n", "1,2,3", "--grid", "41"), True),
+    "3d-csv-9-blocks": (("--dim", "3", "--n", "1,2,3", "--grid", "41"), False),
     "1d-csv-conjugate": (("--dim", "1", "--n", "7", "--grid", "100001", "--conjugate"), True),
     "1d-json-2-blocks-and-1-row": (("--dim", "1", "--n", "2", "--grid", str(2 * 8192 + 1),
                                     "--format", "json"), True),

@@ -14,8 +14,10 @@ from relbox import (
     QuantumNumbers,
     dirac_wavenumber_1d,
     dirac_wavenumbers_3d,
+    dispersion,
     kg_wavenumber_1d,
     kg_wavenumbers_3d,
+    level_3d,
 )
 import relbox.rootfind
 
@@ -180,9 +182,10 @@ def _coupled_residual_tan(xs, kinetic, lengths):
 def test_dirac_3d_residual_and_branch(box_length):
     box = BoxSpec.cube(box_length)
     for n in itertools.product((1, 2, 3), repeat=3):
-        x1, x2, x3, kinetic = dirac_wavenumbers_3d(QuantumNumbers(n), box)
-        xs = (x1, x2, x3)
-        # self-consistency: kinetic is recomputed from the returned roots
+        xs = dirac_wavenumbers_3d(QuantumNumbers(n), box)
+        assert len(xs) == 3
+        # self-consistency: the shared kinetic energy of the returned roots
+        kinetic = dispersion("dirac", xs)
         norm_sq = math.fsum(x * x for x in xs)
         assert kinetic == pytest.approx(math.sqrt(norm_sq + 1.0) - 1.0, rel=1e-13)
         assert _coupled_residual_tan(xs, kinetic, box.lengths) <= 1e-10
@@ -205,7 +208,20 @@ def test_dirac_3d_permutation_equivariance():
         out = dirac_wavenumbers_3d(QuantumNumbers(perm), box)
         for axis, n in enumerate(perm):
             assert out[axis] == pytest.approx(base[n - 1], rel=1e-12)
-        assert out[3] == pytest.approx(base[3], rel=1e-12)
+        assert dispersion("dirac", out) == pytest.approx(dispersion("dirac", base), rel=1e-12)
+
+
+@pytest.mark.parametrize("box_length", [1.0, 10.0, 100.0, 300.0])
+def test_dirac_3d_returns_the_wavenumbers_of_its_level(box_length):
+    """The solver returns the three wavenumbers alone, the very floats of
+    the level that ``level_3d`` builds from them, on the triples of the 3D
+    figure table and their permutations."""
+    box = BoxSpec.cube(box_length)
+    for low in ((1, 1, 1), (1, 1, 2), (1, 2, 2), (1, 1, 3)):
+        for triple in set(itertools.permutations(low)):
+            xs = dirac_wavenumbers_3d(QuantumNumbers(triple), box)
+            assert type(xs) is tuple and len(xs) == 3
+            assert xs == level_3d("dirac", QuantumNumbers(triple), box).wavenumbers
 
 
 def test_dirac_3d_one_dominant_axis_reduces_to_1d():
@@ -226,7 +242,8 @@ def test_dirac_3d_matches_newton_oracle(box_length):
 
 def test_dirac_3d_non_cubic_box():
     box = BoxSpec((1.0, 2.0, 4.0))
-    x1, x2, x3, kinetic = dirac_wavenumbers_3d(QuantumNumbers((2, 1, 1)), box)
+    x1, x2, x3 = dirac_wavenumbers_3d(QuantumNumbers((2, 1, 1)), box)
+    kinetic = dispersion("dirac", (x1, x2, x3))
     assert _coupled_residual_tan((x1, x2, x3), kinetic, box.lengths) <= 1e-10
     nw = newton_wavenumbers_3d((2, 1, 1), box.lengths)
     assert (x1, x2, x3) == pytest.approx(nw[:3], abs=1e-10)
@@ -291,10 +308,21 @@ def test_dirac_3d_sweeps_descend_monotonically(log_lengths, n):
 def test_dirac_3d_with_an_overflowing_spin0_start_is_a_capacity_error(length):
     """The sweeps start from the spin-0 wavenumbers; at L = 1e-155 each of
     their squares overflows, and so does the |x|^2 of the level the sweeps
-    reach: a typed capacity error, not a bracket of NaN ends reported as a
-    convergence failure."""
-    with pytest.raises(CapacityError, match="overflows float64"):
-        dirac_wavenumbers_3d(QuantumNumbers((1, 1, 2)), BoxSpec.cube(length))
+    reach.  The solver returns three finite wavenumbers in their branches,
+    not a bracket of NaN ends reported as a convergence failure, and the
+    level is a typed capacity error."""
+    n = (1, 1, 2)
+    box = BoxSpec.cube(length)
+    xs = dirac_wavenumbers_3d(QuantumNumbers(n), box)
+    assert len(xs) == 3
+    for ni, x in zip(n, xs):
+        assert math.isfinite(x)
+        assert (ni - 0.5) * math.pi / length <= x <= ni * math.pi / length
+    message = ("kinetic energy of indices (1, 1, 2) in box (1e-155, 1e-155, 1e-155) "
+               "overflows float64")
+    with pytest.raises(CapacityError) as excinfo:
+        level_3d("dirac", QuantumNumbers(n), box)
+    assert str(excinfo.value) == message
 
 
 # Wavenumbers of (1, 1, 2) on the cube pi / sqrt(DBL_MAX / 5.5) from a
@@ -310,7 +338,9 @@ def test_dirac_3d_with_an_overflowing_spin0_start_answers():
     their 1e-12 stop."""
     length = math.pi / math.sqrt(sys.float_info.max / 5.5)
     n = (1, 1, 2)
-    *xs, kinetic = dirac_wavenumbers_3d(QuantumNumbers(n), BoxSpec.cube(length))
+    xs = dirac_wavenumbers_3d(QuantumNumbers(n), BoxSpec.cube(length))
+    kinetic = dispersion("dirac", xs)
+    assert len(xs) == 3
     assert math.isfinite(kinetic)
     for ni, x, reference in zip(n, xs, OVERFLOWING_START_ROOTS):
         assert (ni - 0.5) * math.pi / length <= x < ni * math.pi / length

@@ -574,8 +574,8 @@ def test_1d_enumeration_past_the_bound_is_refused_at_once(model):
 
 
 def test_3d_enumeration_past_the_bound_is_refused_before_any_solve(solved):
-    """Indices up to ~1e5 on the long axes would reach kinetic 1e4; the
-    lattice bound is tested before the walk, so nothing is solved."""
+    """Indices up to ~1e5 on the long axes would reach kinetic 1e4; the walk
+    passes the walk budget among its columns, before any mode is solved."""
     request = SpectrumRequest("kg", BoxSpec((1.0, 30.0, 30.0)), max_kinetic=1e4)
     with pytest.raises(CapacityError):
         enumerate_levels(request)
@@ -584,9 +584,10 @@ def test_3d_enumeration_past_the_bound_is_refused_before_any_solve(solved):
 
 @pytest.mark.parametrize("length", [1e170, 1e-160])
 def test_3d_count_request_with_degenerate_lower_bounds_is_refused(length):
-    """At L = 1e170 every lower bound up to the lattice bound underflows to
-    0, so the doubling walk cannot grow; at L = 1e-160 every one overflows.
-    Either way the request is refused at once instead of looping."""
+    """At L = 1e170 every lower bound a walk can reach underflows to 0, so
+    the first walk passes the walk budget; at L = 1e-160 every one
+    overflows, so the reach stops at the largest finite budget with no level
+    in it.  Either way the request is refused at once instead of looping."""
     start = time.perf_counter()
     with pytest.raises(CapacityError):
         enumerate_levels(SpectrumRequest("kg", BoxSpec.cube(length), count=4))
@@ -644,9 +645,10 @@ _EDGE_OF_RANGE_CUBE = math.pi / math.sqrt(sys.float_info.max / 11.5)
     [("kg", 1e-152), ("dirac", 1e-152), ("kg", _EDGE_OF_RANGE_CUBE)],
 )
 def test_3d_count_request_past_an_overflowing_lattice_probe(model, length):
-    """The lattice-bound probe at index 65 overflows |x|^2, but the first
-    four levels are finite: each lies between its branch-edge bound and
-    the spin-0 energy pi |n| / L (to rounding, as |x| >> 1 there)."""
+    """|x|^2 overflows from |n|^2 of about 1800 on at L = 1e-152, and from 12
+    on at the edge-of-range cube, but the first four levels are finite: each
+    lies between its branch-edge bound and the spin-0 energy pi |n| / L (to
+    rounding, as |x| >> 1 there)."""
     levels = enumerate_levels(SpectrumRequest(model, BoxSpec.cube(length), count=4))
     assert [lv.qnums.indices for lv in levels] == [(1, 1, 1), (1, 1, 2), (1, 2, 2), (1, 1, 3)]
     assert [lv.degeneracy for lv in levels] == [1, 3, 3, 3]

@@ -16,8 +16,10 @@ def run() -> None:
     raises: 0 for None, an int as it is, 1 for any other value, which is
     printed on stderr.  Output that cannot be flushed exits 1, as inside
     ``main``.  Any other exception propagates, so its traceback prints and
-    teardown runs.
+    teardown runs.  OpenBLAS starts with one thread unless
+    ``OPENBLAS_NUM_THREADS`` is set: no command makes a BLAS call.
     """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         main()
         code = 0

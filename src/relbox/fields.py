@@ -201,11 +201,11 @@ def conjugated_state(state: BoxState) -> BoxState:
     return BoxState(state.box, state.qnums, not state.conjugated)
 
 
-def _simpson_weights(npoints: int, length: float) -> np.ndarray:
-    """Composite Simpson weights on npoints uniform samples of [0, length]."""
+def _simpson_weights(npoints: int) -> np.ndarray:
+    """Composite Simpson weights on npoints uniform samples of [0, 1]."""
     if npoints < 3 or npoints % 2 == 0:
         raise ValueError(f"Simpson rule needs an odd point count >= 3, got {npoints}")
-    h = length / (npoints - 1)
+    h = 1.0 / (npoints - 1)
     w = np.ones(npoints)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
@@ -237,7 +237,7 @@ def normalization_check(state: BoxState, grid: GridSpec) -> float:
             f"{grid.points_per_axis} points per axis alias quantum numbers "
             f"{state.qnums.indices}: need points - 1 > 2 n_i"
         )
-    weights = [_simpson_weights(grid.points_per_axis, 1.0)] * state.box.dimension
+    weights = [_simpson_weights(grid.points_per_axis)] * state.box.dimension
     rho = _density(state, _sine_profiles(state, grid.axes(state.box)), box_units=True)
     return float(np.sum(_outer(weights) * rho))  # fixed order: BLAS's follows its threads
 

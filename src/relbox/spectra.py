@@ -230,15 +230,17 @@ def _lattice_walk(model: str, box: BoxSpec):
 def _split_lattice(model: str, box: BoxSpec, threshold: float, limit: float):
     """(interior weight, shell (triple, weight) pairs) of the 3D lattice.
 
-    Walks the (n1, n2) columns holding a mode with lo <= limit; on cubes
-    only sorted triples n1 <= n2 <= n3, each weighted by its 1, 3 or 6
-    permutations.  A column's interior is every n3 up to one floor of the
-    spin-0 budget left at ``threshold``; its shell goes on from there while
-    lo <= limit, tested in the arithmetic enumeration uses.  One count of
-    the columns and shell triples visited raises CapacityError as it passes
-    ``_WALK_BUDGET``, before the rest of the walk: a refused walk solves
-    nothing.  Every passing n1 test opens a column, so the walk's time is
-    bounded with its count.
+    Walks the (n1, n2) columns holding a mode with lo <= limit, in one loop
+    for both geometries: on cubes n2 starts at n1 and n3 at n2 (rise 1), so
+    only sorted triples are walked, each weighing its 1, 3 or 6 permutations;
+    elsewhere both start at 1 (rise 0) and a triple weighs 1.  A column's
+    interior is every n3 up to one floor of the spin-0 budget left at
+    ``threshold``; its shell goes on from there while lo <= limit, tested in
+    the arithmetic enumeration uses.  One count of the columns and shell
+    triples visited raises CapacityError as it passes ``_WALK_BUDGET``,
+    before the rest of the walk: a refused walk solves nothing.  Every
+    passing n1 test opens a column, so the walk's time is bounded with its
+    count.
 
     An overflowing lower bound (+inf) lies above ``limit`` only where the
     budget at ``limit`` is finite, so that budget is taken first, which
@@ -246,31 +248,29 @@ def _split_lattice(model: str, box: BoxSpec, threshold: float, limit: float):
     every caller.
     """
     lengths = box.lengths
-    cube = box.is_cube
+    rise, weigh = (1, _cubic_multiplicity) if box.is_cube else (0, lambda triple: 1)
     _norm_sq_budget(model, limit)
     budget = _norm_sq_budget(model, threshold)
     inside, shell, steps = 0, [], 0
-    n1 = 1
-    while _lower_bound(model, (n1, n1, n1) if cube else (n1, 1, 1), lengths) <= limit:
-        n2 = n1 if cube else 1
-        while _lower_bound(model, (n1, n2, n2) if cube else (n1, n2, 1), lengths) <= limit:
+    n1 = start = 1
+    while _lower_bound(model, (n1, start, start), lengths) <= limit:
+        left = budget - (n1 * math.pi / lengths[0]) ** 2
+        n2 = first = start
+        while _lower_bound(model, (n1, n2, first), lengths) <= limit:
             steps = _step(steps)
-            first = n2 if cube else 1
-            rest = budget - (n1 * math.pi / lengths[0]) ** 2 - (n2 * math.pi / lengths[1]) ** 2
+            rest = left - (n2 * math.pi / lengths[1]) ** 2
             last = math.floor(lengths[2] * math.sqrt(rest) / math.pi) if rest > 0.0 else 0
             if last >= first:
-                inside += (
-                    _cubic_multiplicity((n1, n2, n2))
-                    + (last - n2) * _cubic_multiplicity((n1, n2, n2 + 1))
-                    if cube else last
-                )
+                inside += weigh((n1, n2, first)) + (last - first) * weigh((n1, n2, first + 1))
             n3 = max(last + 1, first)
             while _lower_bound(model, (n1, n2, n3), lengths) <= limit:
                 steps = _step(steps)
-                shell.append(((n1, n2, n3), _cubic_multiplicity((n1, n2, n3)) if cube else 1))
+                shell.append(((n1, n2, n3), weigh((n1, n2, n3))))
                 n3 += 1
             n2 += 1
+            first += rise
         n1 += 1
+        start += rise
     return inside, shell
 
 
@@ -348,10 +348,6 @@ def _enumerate_1d(request: SpectrumRequest) -> list[Level]:
     last = request.count
     if last is None:
         last = _count_1d(model, length, request.max_kinetic)
-    elif _lower_bound(model, (last,), (length,)) == math.inf:
-        raise CapacityError(
-            f"kinetic energy of indices {(last,)} in box {(length,)} overflows float64"
-        )
     if last > _WALK_BUDGET:
         raise CapacityError(
             f"1D enumeration needs {last} levels, above the walk budget {_WALK_BUDGET}"

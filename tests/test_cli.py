@@ -488,8 +488,13 @@ def test_count_far_past_the_lattice_bound_is_refused_at_once(args):
      "|x|^2 at kinetic energy 1.0000000010000002e+300 overflows float64"),
     (("count", "--dim", "3", "--lc", "1e-300", "--tmax", "1e300"),
      "|x|^2 at kinetic energy 1.0000000010000002e+300 overflows float64"),
+    (("spectrum", "--dim", "1", "--model", "kg", "--lc", "1e-160", "--levels", "4"),
+     "kinetic energy of indices (1,) in box (1e-160,) overflows float64"),
+    (("spectrum", "--dim", "1", "--model", "dirac", "--lc", "1e-300", "--levels", "3"),
+     "kinetic energy of indices (1,) in box (1e-300,) overflows float64"),
 ], ids=["count-3d-30000", "spectrum-3d", "spectrum-1d", "count-1d", "count-1d-overflow",
-        "spectrum-1d-overflow", "count-3d-overflow"])
+        "spectrum-1d-overflow", "count-3d-overflow", "spectrum-1d-kg-level-overflow",
+        "spectrum-1d-dirac-level-overflow"])
 def test_capacity_refusal_names_its_bound_once(args, message):
     """Each refusal is the library's own message on one line, exit 4."""
     result = invoke(*args)
@@ -1146,6 +1151,23 @@ def test_process_exits_as_cpython_does_without_teardown(statement):
     assert (done.returncode, done.stdout, done.stderr) == (
         plain.returncode, plain.stdout, plain.stderr)
     assert b"teardown ran" not in done.stdout
+
+
+@pytest.mark.parametrize("given, seen", [(None, "1"), ("3", "3")], ids=["unset", "set"])
+def test_process_starts_openblas_with_one_thread_unless_told(given, seen):
+    """``run`` sets ``OPENBLAS_NUM_THREADS`` to 1 before ``main`` where it is
+    unset (no command makes a BLAS call, and the default thread pool slows
+    numpy's import) and keeps a value the caller gave; ``cli.main`` called in
+    a process leaves the environment as it is."""
+    with mock.patch.dict(os.environ):
+        os.environ.pop("OPENBLAS_NUM_THREADS", None)
+        if given is not None:
+            os.environ["OPENBLAS_NUM_THREADS"] = given
+        done = _run_python("-c", _PATCHED_RUN,
+                           "import os; print(os.environ['OPENBLAS_NUM_THREADS'])")
+        assert invoke("--version").exit_code == 0
+        assert os.environ.get("OPENBLAS_NUM_THREADS") == given
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"{seen}\n", "")
 
 
 def test_process_lets_any_other_exception_propagate():

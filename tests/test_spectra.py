@@ -683,9 +683,15 @@ def test_level_with_an_overflowing_energy_is_refused():
 def test_levels_past_the_float_range_are_capacity_errors(model):
     """At L = 1e-160 every |x|^2 overflows, so every kinetic energy is +inf:
     both level builders refuse for every model, naming indices and box,
-    instead of a ValueError or a level of infinite energy."""
+    instead of a ValueError or a level of infinite energy.  A 1D table is
+    refused at its first level, as in 3D, and one past the walk budget by
+    the budget, before any level is solved."""
     with pytest.raises(CapacityError, match=r"indices \(1,\) in box \(1e-160,\) overflows"):
         level_1d(model, 1, 1e-160)
+    with pytest.raises(CapacityError, match=r"indices \(1,\) in box \(1e-160,\) overflows"):
+        enumerate_levels(SpectrumRequest(model, BoxSpec.cube(1e-160, dim=1), count=4))
+    with pytest.raises(CapacityError, match="^1D enumeration needs 200000 levels"):
+        enumerate_levels(SpectrumRequest(model, BoxSpec.cube(1e-160, dim=1), count=200_000))
     with pytest.raises(CapacityError, match=r"indices \(1, 1, 1\) in box \(1e-160, "):
         level_3d(model, QuantumNumbers((1, 1, 1)), BoxSpec.cube(1e-160))
 

@@ -64,18 +64,27 @@ class BoxSpec(namedtuple("BoxSpec", "lengths")):
         return math.prod(self.lengths)
 
 
+def _quantum_index(value) -> int:
+    """``value`` as an int if it is an integer >= 1, else ValueError naming it."""
+    try:
+        if int(value) == value >= 1:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):  # nan, inf, no number
+        pass
+    raise ValueError(f"quantum numbers are integers >= 1, got {value!r}")
+
+
 class QuantumNumbers(namedtuple("QuantumNumbers", "indices")):
-    """Mode label: one positive integer per box axis."""
+    """Mode label: one quantum number per box axis, each an integer >= 1 (an
+    int, a numpy integer or an integral float such as 2.0, kept as an int).
+    Any other index (1.5, 0, nan, inf) is a ValueError, never truncated."""
 
     __slots__ = ()
 
     def __new__(cls, indices: tuple[int, ...]):
-        indices = tuple(int(v) for v in indices)
+        indices = tuple(_quantum_index(v) for v in indices)
         if len(indices) not in (1, 3):
             raise ValueError(f"need 1 or 3 quantum numbers, got {len(indices)}")
-        for v in indices:
-            if v < 1:
-                raise ValueError(f"quantum numbers start at 1, got {v}")
         return super().__new__(cls, indices)
 
     @property

@@ -18,7 +18,7 @@ import math
 from collections.abc import Callable
 
 from . import _LAZY_NAMES
-from .core import BoxSpec, QuantumNumbers, dispersion
+from .core import BoxSpec, QuantumNumbers, _quantum_index, dispersion
 from .errors import ConvergenceError
 
 __all__ = list(_LAZY_NAMES["rootfind"])
@@ -103,8 +103,7 @@ def dirac_wavenumber_1d(n: int, box_length: float) -> float:
 
 
 def _check_1d_args(n: int, box_length: float) -> None:
-    if n < 1:
-        raise ValueError(f"level index starts at 1, got {n}")
+    _quantum_index(n)
     if not math.isfinite(box_length) or box_length <= 0.0:
         raise ValueError(f"box length must be positive and finite, got {box_length}")
 

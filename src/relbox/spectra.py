@@ -231,12 +231,14 @@ def _split_lattice(model: str, box: BoxSpec, threshold: float, limit: float):
     """(interior weight, shell (triple, weight) pairs) of the 3D lattice.
 
     Walks the (n1, n2) columns holding a mode with lo <= limit, in one loop
-    for both geometries: on cubes n2 starts at n1 and n3 at n2 (rise 1), so
-    only sorted triples are walked, each weighing its 1, 3 or 6 permutations;
-    elsewhere both start at 1 (rise 0) and a triple weighs 1.  A column's
-    interior is every n3 up to one floor of the spin-0 budget left at
-    ``threshold``; its shell goes on from there while lo <= limit, tested in
-    the arithmetic enumeration uses.  One count of the columns and shell
+    for both geometries, the weights picked once per walk: on cubes n2
+    starts at n1 and n3 at n2 (rise 1), so only sorted triples are walked,
+    each weighing its 6, 3 or 1 permutations, ``weights[(n1 == n2) +
+    (n2 == n3)]``; elsewhere both start at 1 (rise 0) and weigh 1.  A
+    column's interior is every n3 up to one floor of the spin-0 budget left
+    at ``threshold``, each past n3 = first weighing ``weights[n1 == n2]``;
+    its shell goes on from there while lo <= limit, tested in the
+    arithmetic enumeration uses.  One count of the columns and shell
     triples visited raises CapacityError as it passes ``_WALK_BUDGET``,
     before the rest of the walk: a refused walk solves nothing.  Every
     passing n1 test opens a column, so the walk's time is bounded with its
@@ -248,7 +250,7 @@ def _split_lattice(model: str, box: BoxSpec, threshold: float, limit: float):
     every caller.
     """
     lengths = box.lengths
-    rise, weigh = (1, _cubic_multiplicity) if box.is_cube else (0, lambda triple: 1)
+    rise, weights = (1, (6, 3, 1)) if box.is_cube else (0, (1, 1, 1))
     _norm_sq_budget(model, limit)
     budget = _norm_sq_budget(model, threshold)
     inside, shell, steps = 0, [], 0
@@ -261,11 +263,11 @@ def _split_lattice(model: str, box: BoxSpec, threshold: float, limit: float):
             rest = left - (n2 * math.pi / lengths[1]) ** 2
             last = math.floor(lengths[2] * math.sqrt(rest) / math.pi) if rest > 0.0 else 0
             if last >= first:
-                inside += weigh((n1, n2, first)) + (last - first) * weigh((n1, n2, first + 1))
+                inside += weights[(n1 == n2) + (n2 == first)] + (last - first) * weights[n1 == n2]
             n3 = max(last + 1, first)
             while _lower_bound(model, (n1, n2, n3), lengths) <= limit:
                 steps = _step(steps)
-                shell.append(((n1, n2, n3), weigh((n1, n2, n3))))
+                shell.append(((n1, n2, n3), weights[(n1 == n2) + (n2 == n3)]))
                 n3 += 1
             n2 += 1
             first += rise
@@ -289,24 +291,25 @@ def _count_from_shell(split, max_kinetic: float) -> int:
     entries), the interior being the modes with hi <= threshold.
 
     Starts at threshold T (1 - 2 MERGE_REL_TOL) and, while ``_count_shell``
-    cannot settle the shell, deepens it fourfold.  Below zero the interior
-    is empty and the shell always settles.
+    cannot settle the shell, deepens it fourfold, bounding the unsolved
+    modes by threshold (1 + _ROUNDING_REL).  An empty interior meets that
+    bound vacuously and deepens with no new shell mode to solve; below zero
+    the shell always settles.
     """
     depth = 2.0 * MERGE_REL_TOL * max_kinetic
     while True:
         threshold = max_kinetic - depth
         inside, entries = split(threshold)
-        top = threshold * (1.0 + _ROUNDING_REL) if inside else None
-        counted = _count_shell(entries, top, max_kinetic)
+        counted = _count_shell(entries, threshold * (1.0 + _ROUNDING_REL), max_kinetic)
         if counted is not None:
             return inside + counted
         depth *= 4.0
 
 
-def _count_shell(entries, top: float | None, max_kinetic: float) -> int | None:
+def _count_shell(entries, top: float, max_kinetic: float) -> int | None:
     """Degeneracy of the solved (level, degeneracy) ``entries`` that count,
-    given that every unsolved mode below them has kinetic <= ``top`` (None:
-    there is none) and counts.
+    given that every unsolved mode below them has kinetic <= ``top`` and
+    counts: exact for any such bound, a vacuous one (no unsolved mode) too.
 
     An entry counts when the merged level it joins starts at or below the
     cutoff, and where levels start depends on the merges below.  So the
@@ -321,10 +324,7 @@ def _count_shell(entries, top: float | None, max_kinetic: float) -> int | None:
     below = top
     for start, (level, _) in enumerate(ordered):
         kinetic = level.kinetic
-        if below is None or (
-            kinetic > below
-            and not math.isclose(below, kinetic, rel_tol=MERGE_REL_TOL, abs_tol=0.0)
-        ):
+        if kinetic > below and not math.isclose(below, kinetic, rel_tol=MERGE_REL_TOL, abs_tol=0.0):
             merged = _merge_equal_energies(ordered[start:])
             return sum(weight for _, weight in ordered[:start]) + sum(
                 lv.degeneracy for lv in merged if lv.kinetic <= max_kinetic
@@ -354,16 +354,6 @@ def _enumerate_1d(request: SpectrumRequest) -> list[Level]:
         )
     spin = _spin_factor(model, request.spin_counting)
     return [level_1d(model, n, length)._replace(degeneracy=spin) for n in range(1, last + 1)]
-
-
-def _cubic_multiplicity(triple: tuple[int, int, int]) -> int:
-    """Number of distinct permutations of a sorted triple: 1, 3 or 6."""
-    a, b, c = triple
-    if a == b == c:
-        return 1
-    if a == b or b == c:
-        return 3
-    return 6
 
 
 def _enumerate_3d(request: SpectrumRequest) -> list[Level]:

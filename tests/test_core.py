@@ -19,8 +19,10 @@ from relbox import (
     QuantumNumbers,
     SpectrumRequest,
     charge_conjugate,
+    dirac_wavenumber_1d,
     dispersion,
     enumerate_levels,
+    kg_wavenumber_1d,
     level_1d,
     mode_amplitudes,
 )
@@ -177,6 +179,30 @@ def test_box_spec_basics():
 def test_quantum_numbers_rejects_bad_indices(indices):
     with pytest.raises(ValueError):
         QuantumNumbers(indices)
+
+
+@pytest.mark.parametrize("value", [1.5, 2.9, 0.5, 0.0, -1, math.nan, math.inf, -math.inf])
+def test_fractional_or_non_finite_indices_are_refused_not_truncated(value):
+    """An index that is not an integer >= 1 is a ValueError naming it, in a
+    3D label and in every 1D solver; none is truncated to a level labelled
+    int(value)."""
+    named = f"got {value!r}"
+    with pytest.raises(ValueError, match=named):
+        QuantumNumbers((value, 1, 1))
+    for model in ("kg", "dirac", "nonrel"):
+        with pytest.raises(ValueError, match=named):
+            level_1d(model, value, 1.0)
+    for solve in (kg_wavenumber_1d, dirac_wavenumber_1d):
+        with pytest.raises(ValueError, match=named):
+            solve(value, 1.0)
+
+
+def test_integral_indices_of_any_numeric_type_are_kept():
+    qn = QuantumNumbers((2.0, np.int64(3), np.float64(1.0)))
+    assert qn.indices == (2, 3, 1) and all(type(n) is int for n in qn.indices)
+    for model in ("kg", "dirac", "nonrel"):
+        level = level_1d(model, 2, 1.0)
+        assert level_1d(model, 2.0, 1.0) == level_1d(model, np.int64(2), 1.0) == level
 
 
 def test_quantum_numbers_arity_check():

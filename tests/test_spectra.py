@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import sys
 import time
 
@@ -27,7 +28,6 @@ from relbox.spectra import (
     MODELS,
     _count_from_shell,
     _count_shell,
-    _cubic_multiplicity,
     _merge_sorted,
 )
 
@@ -147,13 +147,21 @@ def test_1d_enumeration_and_spin_factor():
     assert all(lv.degeneracy == 1 for lv in enumerate_levels(req))
 
 
-@pytest.mark.parametrize("n_max", [2, 3, 5])
-def test_cubic_multiplicities_partition_the_lattice(n_max):
-    total = sum(
-        _cubic_multiplicity(t)
-        for t in itertools.combinations_with_replacement(range(1, n_max + 1), 3)
-    )
-    assert total == n_max**3
+def test_cube_counts_equal_the_box_one_ulp_longer():
+    """A cube walks sorted triples weighed by their 1, 3 or 6 permutations;
+    the box with its third side one ulp longer walks every triple with
+    weight 1.  Both give the same count over a seeded spread of sides in
+    [0.3, 50] and cutoffs in [0.1, 30], the cutoff held where no axis index
+    passes 60 so that the box walk stays quick."""
+    rng = random.Random(7)
+    for case in range(60):
+        model = MODELS[case % 3]
+        length = math.exp(rng.uniform(math.log(0.3), math.log(50.0)))
+        x_max = 60.0 * math.pi / length
+        t_max = min(30.0, 0.5 * x_max**2 if model == "nonrel" else _relativistic_kinetic(x_max**2))
+        tmax = math.exp(rng.uniform(math.log(0.1), math.log(t_max)))
+        box = BoxSpec((length, length, math.nextafter(length, math.inf)))
+        assert count_states(model, BoxSpec.cube(length), tmax) == count_states(model, box, tmax)
 
 
 def test_count_boundary_convention_includes_equal():
@@ -276,6 +284,38 @@ def test_count_at_a_cutoff_inside_an_accidental_degeneracy(model, low, high):
     assert total == sum(lv.degeneracy for lv in enumerate_levels(request))
     assert total == lattice_count(box.lengths, cutoff * (1 + 1e-12), 12,
                                   quadratic=model == "nonrel")
+
+
+@pytest.mark.parametrize("length", [0.3, 1.0, 7.0])
+@pytest.mark.parametrize("model", MODELS)
+def test_count_with_an_empty_interior_next_to_the_lowest_level(model, length):
+    """Cutoffs within a few MERGE_REL_TOL of the (1, 1, 1) level leave the
+    interior empty or hold that one mode, and put the level within the
+    merge tolerance of the shell's bound; the count is the enumerated
+    degeneracy sum at each."""
+    box = BoxSpec.cube(length)
+    lowest = level_3d(model, QuantumNumbers((1, 1, 1)), box).kinetic
+    for factor in (1 - 3e-9, 1 + 3e-9, 1 - 1e-9, 1 + 1e-9, 1 - 3e-10, 1 + 3e-10, 1.0):
+        cutoff = lowest * factor
+        request = SpectrumRequest(model, box, max_kinetic=cutoff)
+        assert count_states(model, box, cutoff) == sum(
+            lv.degeneracy for lv in enumerate_levels(request)
+        )
+
+
+@pytest.mark.parametrize(
+    "model, lengths, tmax, count",
+    [
+        ("kg", (1000.0, 1000.0, 1000.0), 1.0, 87388962),
+        ("nonrel", (1000.0, 1100.0, 1200.0), 0.5, 22146919),
+        ("dirac", (300.0, 310.0, 320.0), 0.1, 46412),
+    ],
+    ids=["kg-cube", "nonrel-box", "dirac-box"],
+)
+def test_large_walk_counts_are_pinned(model, lengths, tmax, count):
+    """The three large counts whose walk times are tracked, pinned so that
+    a faster walk or a thinner spin-1/2 shell must keep them exactly."""
+    assert count_states(model, BoxSpec(lengths), tmax) == count
 
 
 @pytest.mark.parametrize("chain", [40, 41])
@@ -558,7 +598,9 @@ def test_dirac_count_up_to_index_96_matches_an_independent_count():
     assert len(shell) == 1839 and max(map(max, shell)) == 96
     solved = [newton_wavenumbers_3d(t, (1.0,) * 3)[3] for t in shell]
     assert all(abs(k - cutoff) > 1e-8 * cutoff for k in solved)
-    counted = sum(_cubic_multiplicity(t) for t, k in zip(shell, solved) if k <= cutoff)
+    counted = sum(
+        len(set(itertools.permutations(t))) for t, k in zip(shell, solved) if k <= cutoff
+    )
     assert count_states("dirac", BoxSpec.cube(1.0), cutoff) == interior + counted == 457573
 
 

@@ -29,6 +29,7 @@ from relbox.spectra import (
     _count_from_shell,
     _count_shell,
     _merge_sorted,
+    _split_lattice,
 )
 
 from oracles import lattice_count, lattice_levels, newton_wavenumbers_3d, weyl_count
@@ -145,6 +146,27 @@ def test_1d_enumeration_and_spin_factor():
     assert all(lv.degeneracy == 2 for lv in levels)
     req = SpectrumRequest(model="kg", box=BoxSpec((1.0,)), count=3, spin_counting=True)
     assert all(lv.degeneracy == 1 for lv in enumerate_levels(req))
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 5])
+def test_cubic_multiplicities_partition_the_lattice(n_max):
+    """The cube walk's weights over its sorted triples with no index past
+    n_max sum to n_max^3.  The walk's shell holds every mode (threshold 0,
+    an empty interior) out to |n|^2 = 3 n_max^2 + 1/2, which covers that
+    cube; with the interior out to |n|^2 = n_max^2 + 1/2, interior and shell
+    weigh every lattice triple in the ball."""
+    radius_sq = 3 * n_max**2
+    limit = 0.5 * (radius_sq + 0.5)
+    inside, shell = _split_lattice("nonrel", BoxSpec.cube(math.pi), 0.0, limit)
+    assert inside == 0
+    assert sum(w for t, w in shell if max(t) <= n_max) == n_max**3
+    ball = sum(
+        1
+        for t in itertools.product(range(1, n_max * 2 + 1), repeat=3)
+        if sum(n * n for n in t) <= radius_sq
+    )
+    inside, shell = _split_lattice("nonrel", BoxSpec.cube(math.pi), 0.5 * (n_max**2 + 0.5), limit)
+    assert inside > 0 and inside + sum(w for _, w in shell) == ball
 
 
 def test_cube_counts_equal_the_box_one_ulp_longer():

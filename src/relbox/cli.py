@@ -348,6 +348,17 @@ def _ints(text: str) -> tuple[int, ...]:
     return items
 
 
+def _one(parse):
+    """``parse`` (``_floats`` or ``_ints``) of exactly one entry, for an
+    option that takes one value under its list's rule."""
+
+    def single(text: str):
+        [value] = parse(text)  # more entries: "invalid single value"
+        return value
+
+    return single
+
+
 def _expand_models(model: str) -> list[str]:
     return list(MODELS) if model == "all" else [model]
 
@@ -387,10 +398,6 @@ def _spectrum(args) -> None:
         args.error("Set only one of '--levels' and '--tmax'.")
     if levels is None and tmax is None:
         levels = 4
-    if levels is not None and levels < 1:
-        args.error("Invalid value for '--levels': must be >= 1.")
-    if tmax is not None and not (tmax > 0.0):
-        args.error("Invalid value for '--tmax': must be > 0.")
     boxes = _boxes(args, dim=1, lc=(1.0, 10.0, 100.0, 300.0))
     models = _expand_models(args.model)
     table = spectrum_table(models, boxes, levels, tmax, args.spin_counting)
@@ -417,8 +424,6 @@ def _count(args) -> None:
     tmax = args.tmax
     if tmax is None:
         args.error("the following arguments are required: --tmax")
-    if not (0.0 < tmax < math.inf):
-        args.error("Invalid value for '--tmax': must be > 0 and finite.")
     boxes = _boxes(args, dim=3, lc=(1.0,))
     runs = [(m, cell, box) for m in _expand_models(args.model) for cell, box in boxes]
     counts = [count_states(m, box, tmax, args.spin_counting) for m, _, box in runs]
@@ -534,7 +539,8 @@ def _parser(prog: str) -> argparse.ArgumentParser:
     model = options(box)
     model.add_argument("--model", choices=(*MODELS, "all"), default="all",
                        help="Model to tabulate (default: %(default)s).")
-    model.add_argument("--tmax", type=float, help="Kinetic-energy cutoff (required by count).")
+    model.add_argument("--tmax", type=_one(_floats),
+                       help="Kinetic-energy cutoff (required by count).")
     model.add_argument("--spin-counting", action="store_true",
                        help="Double spin-1/2 degeneracies.")
     output = options()
@@ -561,7 +567,8 @@ def _parser(prog: str) -> argparse.ArgumentParser:
         return sub
 
     spectrum = command("spectrum", _spectrum, model)
-    spectrum.add_argument("--levels", type=int, help="Number of levels per box (default: 4).")
+    spectrum.add_argument("--levels", type=_one(_ints),
+                          help="Number of levels per box (default: 4).")
     spectrum.add_argument("--preset", choices=("electron", "pion", "none"), default="none",
                           help="Annotate box sizes in physical units (default: %(default)s).")
     command("count", _count, model)

@@ -37,12 +37,9 @@ class BoxSpec(namedtuple("BoxSpec", "lengths")):
     __slots__ = ()
 
     def __new__(cls, lengths: tuple[float, ...]):
-        lengths = tuple(float(v) for v in lengths)
+        lengths = tuple(_positive_finite("box lengths", v) for v in lengths)
         if len(lengths) not in (1, 3):
             raise ValueError(f"box must be 1D or 3D, got {len(lengths)} lengths")
-        for v in lengths:
-            if not math.isfinite(v) or v <= 0.0:
-                raise ValueError(f"box lengths must be positive and finite, got {v}")
         return super().__new__(cls, lengths)
 
     @classmethod
@@ -64,14 +61,28 @@ class BoxSpec(namedtuple("BoxSpec", "lengths")):
         return math.prod(self.lengths)
 
 
-def _quantum_index(value) -> int:
-    """``value`` as an int if it is an integer >= 1, else ValueError naming it."""
+def _integer(name: str, value, least: int = 1) -> int:
+    """``value`` as an int if it is an integer >= ``least`` (an int, a numpy
+    integer or an integral float such as 2.0), else ValueError naming the
+    field and the value: 1.5, nan and inf are never truncated."""
     try:
-        if int(value) == value >= 1:
-            return int(value)
+        number = int(value)
+        if number == value >= least:
+            return number
     except (TypeError, ValueError, OverflowError):  # nan, inf, no number
         pass
-    raise ValueError(f"quantum numbers are integers >= 1, got {value!r}")
+    raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _positive_finite(name: str, value) -> float:
+    """``value`` as a float if it is a number with 0 < value < inf, else
+    ValueError naming the field and the value."""
+    try:
+        if 0.0 < value < math.inf:
+            return float(value)
+    except (TypeError, OverflowError):  # no number, an int past float64
+        pass
+    raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 class QuantumNumbers(namedtuple("QuantumNumbers", "indices")):
@@ -82,7 +93,7 @@ class QuantumNumbers(namedtuple("QuantumNumbers", "indices")):
     __slots__ = ()
 
     def __new__(cls, indices: tuple[int, ...]):
-        indices = tuple(_quantum_index(v) for v in indices)
+        indices = tuple(_integer("quantum number", v) for v in indices)
         if len(indices) not in (1, 3):
             raise ValueError(f"need 1 or 3 quantum numbers, got {len(indices)}")
         return super().__new__(cls, indices)

@@ -17,21 +17,22 @@ from collections import namedtuple
 import numpy as np
 
 from . import _LAZY_NAMES
-from .core import BoxSpec, FVSpinor, ModeAmplitudes, QuantumNumbers, _norm_sq, mode_amplitudes
+from .core import (
+    BoxSpec, FVSpinor, ModeAmplitudes, QuantumNumbers, _integer, _norm_sq, mode_amplitudes,
+)
 from .errors import CapacityError
 
 __all__ = list(_LAZY_NAMES["fields"])
 
 
 class GridSpec(namedtuple("GridSpec", "points_per_axis")):
-    """Uniform sampling grid of the closed box: points per axis, faces included."""
+    """Uniform sampling grid of the closed box: points per axis, faces
+    included, an integer >= 3."""
 
     __slots__ = ()
 
     def __new__(cls, points_per_axis: int):
-        if points_per_axis < 3:
-            raise ValueError(f"need at least 3 points per axis, got {points_per_axis}")
-        return super().__new__(cls, points_per_axis)
+        return super().__new__(cls, _integer("points_per_axis", points_per_axis, least=3))
 
     def axes(self, box: BoxSpec) -> tuple[np.ndarray, ...]:
         """Coordinates of the grid along each box axis, both faces included."""

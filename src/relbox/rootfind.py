@@ -18,7 +18,7 @@ import math
 from collections.abc import Callable
 
 from . import _LAZY_NAMES
-from .core import BoxSpec, QuantumNumbers, _quantum_index, dispersion
+from .core import BoxSpec, QuantumNumbers, _integer, _positive_finite, dispersion
 from .errors import ConvergenceError
 
 __all__ = list(_LAZY_NAMES["rootfind"])
@@ -103,9 +103,8 @@ def dirac_wavenumber_1d(n: int, box_length: float) -> float:
 
 
 def _check_1d_args(n: int, box_length: float) -> None:
-    _quantum_index(n)
-    if not math.isfinite(box_length) or box_length <= 0.0:
-        raise ValueError(f"box length must be positive and finite, got {box_length}")
+    _integer("quantum number", n)
+    _positive_finite("box length", box_length)
 
 
 def kg_wavenumbers_3d(qnums: QuantumNumbers, box: BoxSpec) -> tuple[float, float, float]:
@@ -147,10 +146,9 @@ def dirac_wavenumbers_3d(qnums: QuantumNumbers, box: BoxSpec) -> tuple[float, fl
     even where their own |x|^2 overflows; ``relbox.spectra.level_3d`` refuses
     such a level.
     """
-    _check_3d_args(qnums, box)
+    xs = list(kg_wavenumbers_3d(qnums, box))
     n = qnums.indices
     lengths = box.lengths
-    xs = [n[i] * math.pi / lengths[i] for i in range(3)]
     history: list[float] = []
     for _ in range(_SWEEP_CAP):
         e_sum = dispersion("dirac", xs) + 2.0

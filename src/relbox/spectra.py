@@ -21,7 +21,7 @@ import sys
 from collections import namedtuple
 
 from . import _LAZY_NAMES
-from .core import MODELS, BoxSpec, QuantumNumbers, dispersion
+from .core import MODELS, BoxSpec, QuantumNumbers, _integer, _positive_finite, dispersion
 from .errors import CapacityError
 from .rootfind import (
     dirac_wavenumber_1d,
@@ -59,16 +59,16 @@ class Level(namedtuple("Level", "model qnums wavenumbers kinetic degeneracy also
             raise ValueError(f"unknown model {model!r}")
         if not kinetic >= 0.0:
             raise ValueError(f"kinetic energy must be >= 0, got {kinetic}")
-        if degeneracy < 1:
-            raise ValueError("degeneracy must be >= 1")
+        degeneracy = _integer("degeneracy", degeneracy)
         return super().__new__(cls, model, qnums, wavenumbers, kinetic, degeneracy, also)
 
 
 class SpectrumRequest(
     namedtuple("SpectrumRequest", "model box count max_kinetic spin_counting")
 ):
-    """What to enumerate: either the first ``count`` levels or everything
-    with kinetic energy at most ``max_kinetic``."""
+    """What to enumerate: either the first ``count`` levels (an integer >= 1)
+    or everything with kinetic energy at most ``max_kinetic`` (positive and
+    finite)."""
 
     __slots__ = ()
 
@@ -78,10 +78,10 @@ class SpectrumRequest(
             raise ValueError(f"unknown model {model!r}")
         if (count is None) == (max_kinetic is None):
             raise ValueError("set exactly one of count / max_kinetic")
-        if count is not None and count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
-        if max_kinetic is not None and not (max_kinetic > 0.0):
-            raise ValueError(f"max_kinetic must be > 0, got {max_kinetic}")
+        if count is not None:
+            count = _integer("count", count)
+        if max_kinetic is not None:
+            max_kinetic = _positive_finite("max_kinetic", max_kinetic)
         return super().__new__(cls, model, box, count, max_kinetic, spin_counting)
 
 
@@ -160,9 +160,7 @@ def count_states(
     is bounded by ``_WALK_BUDGET``: a box whose levels chain-merge so far
     below the cutoff that the deepened shell passes it is refused.
     """
-    SpectrumRequest(model=model, box=box, max_kinetic=max_kinetic)  # validates
-    if not math.isfinite(max_kinetic):
-        raise ValueError("max_kinetic must be finite to count states")
+    max_kinetic = SpectrumRequest(model=model, box=box, max_kinetic=max_kinetic).max_kinetic
     if box.dimension == 1:
         total = _count_1d(model, box.lengths[0], max_kinetic)
     else:

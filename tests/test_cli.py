@@ -26,6 +26,20 @@ REPO = Path(__file__).resolve().parents[1]
 # Figure tables as printed by the commit that defined the benchmark.
 REFERENCE_DIR = REPO / "perfbench" / "reference"
 
+# The figure tables of the benchmark's ``count`` workload, as captured in
+# ``perfbench/reference``.
+FIGURE_TABLES = {
+    "spectrum_dim1.csv": ("spectrum", "--dim", "1", "--model", "all", "--lc", "1,10,100,300",
+                          "--levels", "4"),
+    "spectrum_dim1.json": ("spectrum", "--dim", "1", "--model", "all", "--lc", "1,10,100,300",
+                           "--levels", "4", "--format", "json"),
+    "spectrum_dim3.csv": ("spectrum", "--dim", "3", "--model", "all", "--lc", "1,10,100,300",
+                          "--levels", "4"),
+    "spectrum_dim3.json": ("spectrum", "--dim", "3", "--model", "all", "--lc", "1,10,100,300",
+                           "--levels", "4", "--format", "json"),
+    "count_dim3_lc0.5.csv": ("count", "--dim", "3", "--lc", "0.5", "--tmax", "25"),
+}
+
 
 def _columns(rows):
     """Row dicts (all with the keys of the first) as a column table."""
@@ -135,14 +149,11 @@ def test_json_round_trip_matches_library_table():
     assert payload["summary"]["n_rows"] == 36
 
 
-@pytest.mark.parametrize("dim", ["1", "3"])
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_figure_tables_match_reference_bytes(dim, fmt):
-    result = invoke("spectrum", "--dim", dim, "--model", "all",
-                    "--lc", "1,10,100,300", "--levels", "4", "--format", fmt)
+@pytest.mark.parametrize("name", FIGURE_TABLES)
+def test_figure_tables_match_reference_bytes(name):
+    result = invoke(*FIGURE_TABLES[name])
     assert result.exit_code == 0
-    expected = (REFERENCE_DIR / f"spectrum_dim{dim}.{fmt}").read_bytes()
-    assert result.stdout_bytes == expected
+    assert result.stdout_bytes == (REFERENCE_DIR / name).read_bytes()
 
 
 def _src_env():
@@ -234,10 +245,13 @@ def test_usage_errors_exit_2():
     (("count", "--dim", "1", "--lengths", "1,2", "--tmax", "1"), "--lengths"),
     (("spectrum", "--levels", "0"), "--levels"),
     (("spectrum", "--tmax", "0"), "--tmax"),
+    (("spectrum", "--tmax", "inf"), "--tmax"),
+    (("count", "--tmax", "inf"), "--tmax"),
     (("count",), "--tmax"),
     (("field", "--lc", "1,2", "--n", "1"), "--lc"),
 ], ids=["lc-not-floats", "n-not-ints", "n-zero", "lengths-3d-count", "lengths-1d-count",
-        "levels-zero", "spectrum-tmax-zero", "count-without-tmax", "field-two-lc"])
+        "levels-zero", "spectrum-tmax-zero", "spectrum-tmax-inf", "count-tmax-inf",
+        "count-without-tmax", "field-two-lc"])
 def test_invalid_option_values_exit_2_naming_the_option(args, option):
     """Each refused value is bad usage: exit 2, nothing on stdout, and the
     error line (after the usage text) names the option."""
@@ -1211,21 +1225,6 @@ def test_commands_import_only_the_modules_they_use():
     done = _run_python("-c", code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.count("# n_rows=") == 2
-
-
-# The figure tables of the benchmark's ``count`` workload, as captured in
-# ``perfbench/reference``.
-FIGURE_TABLES = {
-    "spectrum_dim1.csv": ("spectrum", "--dim", "1", "--model", "all", "--lc", "1,10,100,300",
-                          "--levels", "4"),
-    "spectrum_dim1.json": ("spectrum", "--dim", "1", "--model", "all", "--lc", "1,10,100,300",
-                           "--levels", "4", "--format", "json"),
-    "spectrum_dim3.csv": ("spectrum", "--dim", "3", "--model", "all", "--lc", "1,10,100,300",
-                          "--levels", "4"),
-    "spectrum_dim3.json": ("spectrum", "--dim", "3", "--model", "all", "--lc", "1,10,100,300",
-                           "--levels", "4", "--format", "json"),
-    "count_dim3_lc0.5.csv": ("count", "--dim", "3", "--lc", "0.5", "--tmax", "25"),
-}
 
 
 @pytest.mark.parametrize("name", FIGURE_TABLES)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from relbox import (
+    MODELS,
     BoxSpec,
     BoxState,
     FieldGrid,
@@ -25,6 +26,7 @@ from relbox import (
     kg_wavenumber_1d,
     level_1d,
     mode_amplitudes,
+    spectrum_table,
 )
 from relbox.spectra import _merge_equal_energies
 
@@ -159,7 +161,8 @@ def test_charge_conjugate_involution_and_norm(upper, lower):
 
 
 @pytest.mark.parametrize(
-    "lengths", [(), (1.0, 2.0), (1.0, 2.0, 3.0, 4.0), (0.0,), (-1.0, 1.0, 1.0), (math.inf,)]
+    "lengths",
+    [(), (1.0, 2.0), (1.0, 2.0, 3.0, 4.0), (0.0,), (-1.0, 1.0, 1.0), (math.inf,), ("1.0",)],
 )
 def test_box_spec_rejects_bad_lengths(lengths):
     with pytest.raises(ValueError):
@@ -270,20 +273,45 @@ INVALID_VALUES = [
     (lambda: ModeAmplitudes(_AMPS.phi0, _AMPS.chi0, -1, 0.5),
      r"scaled energy must be >= 1, got 0\.5"),
     (lambda: Level("foo", _QNUMS, (1.0, 2.0, 3.0), 2.75, 1), "unknown model 'foo'"),
-    (lambda: Level("kg", _QNUMS, (1.0, 2.0, 3.0), 2.75, 0), "degeneracy must be >= 1"),
+    (lambda: Level("kg", _QNUMS, (1.0, 2.0, 3.0), 2.75, 0),
+     "degeneracy must be an integer >= 1, got 0"),
     (lambda: Level("kg", _QNUMS, (1.0, 2.0, 3.0), -1.0, 1),
      r"kinetic energy must be >= 0, got -1\.0"),
-    (lambda: SpectrumRequest("kg", _BOX, max_kinetic=0.0), r"max_kinetic must be > 0, got 0\.0"),
+    (lambda: SpectrumRequest("kg", _BOX, max_kinetic=0.0),
+     r"max_kinetic must be positive and finite, got 0\.0"),
+    # Fractional or non-finite values are refused when built, not deep inside
+    # the enumeration or the grid.
+    (lambda: Level("kg", _QNUMS, (1.0, 2.0, 3.0), 2.75, 1.5),
+     r"degeneracy must be an integer >= 1, got 1\.5"),
+    (lambda: SpectrumRequest("kg", _BOX, count=2.5), r"count must be an integer >= 1, got 2\.5"),
+    (lambda: SpectrumRequest("kg", _BOX, count=math.nan), "count must be an integer >= 1, got nan"),
+    (lambda: SpectrumRequest("kg", _BOX, max_kinetic=math.inf),
+     "max_kinetic must be positive and finite, got inf"),
+    (lambda: GridSpec(201.5), r"points_per_axis must be an integer >= 3, got 201\.5"),
+    (lambda: GridSpec(math.nan), "points_per_axis must be an integer >= 3, got nan"),
 ]
 
 
 @pytest.mark.parametrize("build, message", INVALID_VALUES,
                          ids=["cube-dim-2", "amplitudes-energy-0.5", "level-model-foo",
                               "level-degeneracy-0", "level-kinetic-negative",
-                              "request-max-kinetic-0"])
+                              "request-max-kinetic-0", "level-degeneracy-1.5", "request-count-2.5",
+                              "request-count-nan", "request-max-kinetic-inf", "grid-201.5",
+                              "grid-nan"])
 def test_value_types_refuse_invalid_fields(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def test_integral_counts_of_any_numeric_type_give_the_same_levels():
+    for box in (BoxSpec((1.0,)), BoxSpec.cube(1.0)):
+        levels = enumerate_levels(SpectrumRequest("dirac", box, count=3))
+        for count in (3.0, np.int64(3)):
+            request = SpectrumRequest("dirac", box, count=count)
+            assert type(request.count) is int
+            assert enumerate_levels(request) == levels
+    boxes = [(1.0, BoxSpec((1.0,))), (10.0, BoxSpec((10.0,)))]
+    assert spectrum_table(MODELS, boxes, count=2.0) == spectrum_table(MODELS, boxes, count=2)
 
 
 def test_rebuilt_levels_carry_degeneracy_and_merged_representatives():

@@ -175,6 +175,12 @@ def test_normalization_3d():
     assert normalization_check(UNIT_CUBE, GridSpec(51)) == pytest.approx(1.0, abs=1e-6)
 
 
+def test_integral_float_grid_sizes_are_kept():
+    assert type(GridSpec(201.0).points_per_axis) is int
+    assert normalization_check(UNIT_1D, GridSpec(201.0)) == normalization_check(
+        UNIT_1D, GridSpec(201))
+
+
 def test_normalization_stays_exact_under_refinement():
     # The sine-squared charge density is integrated exactly by every odd
     # Simpson grid here (no aliasing), so refinement keeps the error at the

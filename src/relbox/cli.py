@@ -359,6 +359,18 @@ def _one(parse):
     return single
 
 
+def _grid(text: str) -> int:
+    """``--grid``: an odd ``GridSpec`` size (an integer >= 3), as Simpson's rule needs."""
+    from .fields import GridSpec
+
+    try:
+        if (grid := GridSpec(int(text)).points_per_axis) % 2:
+            return grid
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"need an odd count >= 3, got {text!r}")
+
+
 def _expand_models(model: str) -> list[str]:
     return list(MODELS) if model == "all" else [model]
 
@@ -470,8 +482,6 @@ def _field(args) -> None:
         args.error(f"Invalid value for '--n': need {dim} values for --dim {dim}.")
     if grid is None:
         grid = 201 if dim == 1 else 21
-    if grid < 3 or grid % 2 == 0:
-        args.error("Invalid value for '--grid': need an odd count >= 3.")
     qnums = QuantumNumbers(n)
     gridspec = GridSpec(points_per_axis=grid)
     if not gridspec.resolves(qnums):
@@ -574,7 +584,7 @@ def _parser(prog: str) -> argparse.ArgumentParser:
     command("count", _count, model)
     field = command("field", _field, box)
     field.add_argument("--n", type=_ints, required=True, help="Quantum numbers.")
-    field.add_argument("--grid", type=int,
+    field.add_argument("--grid", type=_grid,
                        help="Points per axis (odd; default 201 in 1D, 21 in 3D).")
     field.add_argument("--conjugate", action="store_true",
                        help="Sample the charge-conjugated state.")

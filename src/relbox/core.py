@@ -44,8 +44,8 @@ class BoxSpec(namedtuple("BoxSpec", "lengths")):
 
     @classmethod
     def cube(cls, length: float, dim: int = 3) -> "BoxSpec":
-        """Cubic (or 1D) box with every side equal to ``length``."""
-        if dim not in (1, 3):
+        """Cubic (or 1D) box with every side equal to ``length``; ``dim`` 1 or 3."""
+        if (dim := _integer("dim", dim)) not in (1, 3):
             raise ValueError(f"dim must be 1 or 3, got {dim}")
         return cls((length,) * dim)
 

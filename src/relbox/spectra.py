@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
+from functools import partial
 
 from . import _LAZY_NAMES
 from .core import MODELS, BoxSpec, QuantumNumbers, _integer, _positive_finite, dispersion
@@ -41,6 +42,9 @@ MERGE_REL_TOL = 1e-9
 # columns plus shell modes of one 3D lattice walk (every model, count and
 # enumeration alike).
 _WALK_BUDGET = 100_000
+
+# Index n's wavenumber lies in ((n - shift) pi / L, n pi / L], spin-1/2 in its branch.
+_BRANCH_SHIFT = {"kg": 0.0, "dirac": 0.5, "nonrel": 0.0}
 
 
 class Level(namedtuple("Level", "model qnums wavenumbers kinetic degeneracy also")):
@@ -127,10 +131,10 @@ def enumerate_levels(request: SpectrumRequest) -> list[Level]:
     """Distinct levels in strictly increasing kinetic order.
 
     Enumeration is complete: in 3D every mode whose lowest conceivable
-    kinetic energy (for spin-1/2 the energy at the branch lower edges
-    (n_i - 1/2) pi / L_i, which bound every root from below) can reach the
-    cutoff is solved; in 1D levels rise strictly with n, so they are the
-    first ``count`` indices or the ``count_states`` number of them.  If a
+    |x|^2 (at the branch lower edges, which bound every root from below) is
+    within the cutoff's budget is solved; in 1D levels rise strictly with n,
+    so they are the first ``count`` indices or the ``count_states`` number
+    of them.  If a
     3D walk visits more columns and shell modes than ``_WALK_BUDGET``, or
     there are more 1D levels than it, CapacityError is raised before that
     walk's modes or those levels are solved, rather than truncating.
@@ -140,25 +144,21 @@ def enumerate_levels(request: SpectrumRequest) -> list[Level]:
     return _enumerate_3d(request)
 
 
-def count_states(
-    model: str,
-    box: BoxSpec,
-    max_kinetic: float,
-    spin_counting: bool = False,
-) -> int:
+def count_states(model: str, box: BoxSpec, max_kinetic: float,
+                 spin_counting: bool = False) -> int:
     """Degeneracy-weighted number of states with kinetic <= max_kinetic.
 
     Equal to the degeneracy sum of ``enumerate_levels`` for the same cutoff,
-    but most modes are counted without a solve.  A mode's kinetic energy
-    lies in [lo, hi]: for spin-1/2, lo is the energy at the branch edges
-    (n_i - 1/2) pi / L_i and hi the spin-0 energy of the same indices; for
-    kg and nonrel both are the exact energy.  Modes with
-    hi <= T (1 - 2 MERGE_REL_TOL), the interior, count as they are (in 3D
-    one floor per (n1, n2) column); modes with lo > T (1 + MERGE_REL_TOL)
-    cannot reach the cutoff, as in enumeration; only the shell in between
-    is solved and merged, so merged levels define the count.  Each 3D walk
-    is bounded by ``_WALK_BUDGET``: a box whose levels chain-merge so far
-    below the cutoff that the deepened shell passes it is refused.
+    but most modes are counted without a solve.  A mode's |x|^2 lies in
+    [lo, hi]: lo at the branch edges (``_BRANCH_SHIFT``), hi at n_i pi / L_i,
+    both exact for kg and nonrel.  Modes with hi within the budget at
+    T (1 - 2 MERGE_REL_TOL), the interior, count as they are (in 3D one
+    floor per (n1, n2) column); modes with lo past the budget at
+    T (1 + MERGE_REL_TOL) cannot reach the cutoff, as in enumeration; only
+    the shell in between is solved and merged, so merged levels define the
+    count.  Each 3D walk is bounded by ``_WALK_BUDGET``: a box whose levels
+    chain-merge so far below the cutoff that the deepened shell passes it
+    is refused.
     """
     max_kinetic = SpectrumRequest(model=model, box=box, max_kinetic=max_kinetic).max_kinetic
     if box.dimension == 1:
@@ -169,10 +169,10 @@ def count_states(
     return total * _spin_factor(model, spin_counting)
 
 
-# Relative bound on how far a computed energy can sit above the hi bound of
-# its mode: a spin-1/2 solve against the spin-0 energy, and an interior mode
-# against the threshold its column floor was taken at.  Both differ by a few
-# ulps of rounding only.
+# Relative bound on how far a computed energy can sit above its mode's hi
+# bound: a spin-1/2 solve above the spin-0 energy, and an interior mode above
+# the threshold its column floor was taken at.  Both differ by a few ulps of
+# rounding only.
 _ROUNDING_REL = 1e-12
 
 
@@ -186,13 +186,11 @@ _MAX_1D_INDEX = 2**53
 def _count_1d(model: str, length: float, max_kinetic: float) -> int:
     """1D levels rise strictly with n and never merge, so the count is the
     largest n whose level is at most the cutoff.  Every n up to
-    L sqrt(|x|^2 max) / pi at the interior threshold counts; no n past the
-    branch-edge bound at T (1 + MERGE_REL_TOL) can; the last n that counts
-    is bisected in between, tested in the arithmetic enumeration uses."""
-    limit = max_kinetic * (1.0 + MERGE_REL_TOL)
-    # the largest n whose branch-edge (lower-bound) wavenumber fits the limit
-    edge = length * math.sqrt(_norm_sq_budget(model, limit)) / math.pi
-    edge += 0.5 if model == "dirac" else 0.0
+    L sqrt(|x|^2 max) / pi at the interior threshold counts; no n whose edge
+    square passes the budget at T (1 + MERGE_REL_TOL) can; the last n that
+    counts is bisected in between, tested in the arithmetic enumeration uses."""
+    shift, top = _BRANCH_SHIFT[model], _norm_sq_budget(model, max_kinetic * (1.0 + MERGE_REL_TOL))
+    edge = length * math.sqrt(top) / math.pi + shift  # the largest n whose edge fits top
     if not edge < _MAX_1D_INDEX:
         raise CapacityError("1D count needs indices above 2**53 (float64 resolution)")
     budget = _norm_sq_budget(model, max_kinetic * (1.0 - 2.0 * MERGE_REL_TOL))
@@ -200,10 +198,8 @@ def _count_1d(model: str, length: float, max_kinetic: float) -> int:
     hi = math.floor(edge) + 2  # one more than a rounding slip of edge can reach
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if (
-            _lower_bound(model, (mid,), (length,)) <= limit
-            and level_1d(model, mid, length).kinetic <= max_kinetic
-        ):
+        fits = _edge_sq(shift, mid, length) <= top  # else level_1d may overflow
+        if fits and level_1d(model, mid, length).kinetic <= max_kinetic:
             lo = mid
         else:
             hi = mid
@@ -228,42 +224,41 @@ def _lattice_walk(model: str, box: BoxSpec):
 def _split_lattice(model: str, box: BoxSpec, threshold: float, limit: float):
     """(interior weight, shell (triple, weight) pairs) of the 3D lattice.
 
-    Walks the (n1, n2) columns holding a mode with lo <= limit, in one loop
-    for both geometries, the weights picked once per walk: on cubes n2
-    starts at n1 and n3 at n2 (rise 1), so only sorted triples are walked,
-    each weighing its 6, 3 or 1 permutations, ``weights[(n1 == n2) +
-    (n2 == n3)]``; elsewhere both start at 1 (rise 0) and weigh 1.  A
-    column's interior is every n3 up to one floor of the spin-0 budget left
-    at ``threshold``, each past n3 = first weighing ``weights[n1 == n2]``;
-    its shell goes on from there while lo <= limit, tested in the
-    arithmetic enumeration uses.  One count of the columns and shell
-    triples visited raises CapacityError as it passes ``_WALK_BUDGET``,
-    before the rest of the walk: a refused walk solves nothing.  Every
-    passing n1 test opens a column, so the walk's time is bounded with its
-    count.
-
-    An overflowing lower bound (+inf) lies above ``limit`` only where the
-    budget at ``limit`` is finite, so that budget is taken first, which
-    refuses a ``limit`` whose budget overflows; ``threshold`` is below it in
-    every caller.
+    Every bound is one comparison in |x|^2: a mode's lowest |x|^2, the sum
+    of its axes' ``_edge_sq``, above ``top``, the budget at ``limit``, means
+    that no root of the mode reaches ``limit``, up to the few ulps of
+    rounding that the MERGE_REL_TOL pad on ``limit`` covers.  ``top`` is
+    taken first, refusing a ``limit`` whose budget overflows, so an
+    overflowing edge square (+inf) lies above it; ``threshold`` is below it.
+    One loop walks the (n1, n2) columns with a sum within ``top``, the n1
+    and n2 squares taken once each: on cubes n2 starts at n1 and n3 at n2
+    (rise 1), so only sorted triples are walked, each weighing its 6, 3 or
+    1 permutations, ``weights[(n1 == n2) + (n2 == n3)]``; elsewhere both
+    start at 1 (rise 0) and weigh 1.  A column's interior is every n3 up to
+    one floor of the spin-0 budget left at ``threshold``, each past
+    n3 = first weighing ``weights[n1 == n2]``; its shell goes on while the
+    sum is within ``top``.  One count of the columns and shell triples
+    visited raises CapacityError as it passes ``_WALK_BUDGET``, before the
+    rest of the walk (a refused walk solves nothing); every passing n1 test
+    opens a column, so the walk's time is bounded with its count.
     """
-    lengths = box.lengths
+    l1, l2, l3 = box.lengths
     rise, weights = (1, (6, 3, 1)) if box.is_cube else (0, (1, 1, 1))
-    _norm_sq_budget(model, limit)
-    budget = _norm_sq_budget(model, threshold)
+    edge = partial(_edge_sq, _BRANCH_SHIFT[model])
+    top, budget = _norm_sq_budget(model, limit), _norm_sq_budget(model, threshold)
     inside, shell, steps = 0, [], 0
     n1 = start = 1
-    while _lower_bound(model, (n1, start, start), lengths) <= limit:
-        left = budget - (n1 * math.pi / lengths[0]) ** 2
+    while (low1 := edge(n1, l1)) + edge(start, l2) + edge(start, l3) <= top:
+        left = budget - (n1 * math.pi / l1) ** 2
         n2 = first = start
-        while _lower_bound(model, (n1, n2, first), lengths) <= limit:
+        while (low2 := low1 + edge(n2, l2)) + edge(first, l3) <= top:
             steps = _step(steps)
-            rest = left - (n2 * math.pi / lengths[1]) ** 2
-            last = math.floor(lengths[2] * math.sqrt(rest) / math.pi) if rest > 0.0 else 0
+            rest = left - (n2 * math.pi / l2) ** 2
+            last = math.floor(l3 * math.sqrt(rest) / math.pi) if rest > 0.0 else 0
             if last >= first:
                 inside += weights[(n1 == n2) + (n2 == first)] + (last - first) * weights[n1 == n2]
             n3 = max(last + 1, first)
-            while _lower_bound(model, (n1, n2, n3), lengths) <= limit:
+            while low2 + edge(n3, l3) <= top:
                 steps = _step(steps)
                 shell.append(((n1, n2, n3), weights[(n1 == n2) + (n2 == n3)]))
                 n3 += 1
@@ -272,6 +267,13 @@ def _split_lattice(model: str, box: BoxSpec, threshold: float, limit: float):
         n1 += 1
         start += rise
     return inside, shell
+
+
+def _edge_sq(shift: float, n: int, length: float) -> float:
+    """((n - shift) pi / L)^2, the least x^2 of index n (``_BRANCH_SHIFT``);
+    +inf where it overflows (``x * x``: ``x ** 2`` raises there)."""
+    x = (n - shift) * math.pi / length
+    return x * x
 
 
 def _step(steps: int) -> int:
@@ -286,7 +288,7 @@ def _step(steps: int) -> int:
 
 def _count_from_shell(split, max_kinetic: float) -> int:
     """Count from ``split(threshold)`` -> (interior weight, solved shell
-    entries), the interior being the modes with hi <= threshold.
+    entries), the interior being the modes with hi within threshold's budget.
 
     Starts at threshold T (1 - 2 MERGE_REL_TOL) and, while ``_count_shell``
     cannot settle the shell, deepens it fourfold, bounding the unsolved
@@ -333,14 +335,6 @@ def _count_shell(entries, top: float, max_kinetic: float) -> int | None:
     return sum(weight for _, weight in ordered)
 
 
-def _lower_bound(model: str, indices: tuple[int, ...], lengths) -> float:
-    """Kinetic energy at the lower edge of every axis's wavenumber range:
-    the energy itself for kg and nonrel, a bound below it for spin-1/2."""
-    shift = 0.5 if model == "dirac" else 0.0
-    xs = tuple((n - shift) * math.pi / length for n, length in zip(indices, lengths))
-    return dispersion(model, xs)
-
-
 def _enumerate_1d(request: SpectrumRequest) -> list[Level]:
     model, length = request.model, request.box.lengths[0]
     last = request.count
@@ -356,12 +350,12 @@ def _enumerate_1d(request: SpectrumRequest) -> list[Level]:
 
 def _enumerate_3d(request: SpectrumRequest) -> list[Level]:
     """The shell walk of ``count_states`` with an empty interior: every mode
-    whose lower bound is at most T (1 + MERGE_REL_TOL) is solved, and the
-    merged levels at most T are kept.
+    whose lower bound is within the budget at T (1 + MERGE_REL_TOL) is
+    solved, and the merged levels at most T are kept.
 
     A ``count`` request is the same request at T = K (1 + MERGE_REL_TOL),
     K the count-th level.  K is found by widening a walk's reach from the
-    (1, 1, 1) lower bound until the count-th merged level lies within it
+    (1, 1, 1) branch-edge energy until the count-th merged level lies within it
     (levels are final up to the reach, as every mode below it is solved);
     solved modes are kept across rounds.  A round that holds fewer than
     ``count`` levels doubles the reach; one that holds ``count`` sets it to
@@ -392,7 +386,8 @@ def _enumerate_3d(request: SpectrumRequest) -> list[Level]:
     cutoff, count = request.max_kinetic, request.count
     if count is not None:
         top = sys.float_info.max / 2.0 if model == "nonrel" else math.sqrt(sys.float_info.max)
-        reach = _lower_bound(model, (1, 1, 1), box.lengths)
+        edges = [(1 - _BRANCH_SHIFT[model]) * math.pi / length for length in box.lengths]
+        reach = dispersion(model, edges)
         while True:
             reach = min(reach, top)
             levels = merged(reach)
@@ -406,7 +401,7 @@ def _enumerate_3d(request: SpectrumRequest) -> list[Level]:
             if len(levels) >= count:
                 reach = levels[count - 1].kinetic
             else:
-                reach = max(2.0 * reach, math.ulp(0.0))  # a lower bound can underflow to 0
+                reach = max(2.0 * reach, math.ulp(0.0))  # an edge energy can underflow to 0
     return [lv for lv in merged(cutoff * margin) if lv.kinetic <= cutoff][:count]
 
 
@@ -436,13 +431,8 @@ def _merge_equal_energies(entries) -> list[Level]:
     return merged
 
 
-def spectrum_table(
-    models,
-    boxes,
-    count: int | None = None,
-    max_kinetic: float | None = None,
-    spin_counting: bool = False,
-) -> dict:
+def spectrum_table(models, boxes, count: int | None = None, max_kinetic: float | None = None,
+                   spin_counting: bool = False) -> dict:
     """Levels of each model in each box, as a table of columns: the data
     behind the spectrum-comparison figures.
 

@@ -8,6 +8,7 @@ enumeration instead of the adaptive level scan.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import itertools
 import math
@@ -126,6 +127,97 @@ def lattice_count(lengths, max_kinetic: float, n_max: int, quadratic: bool = Fal
     else:
         kinetic = np.sqrt(norm_sq + 1.0) - 1.0
     return int(np.count_nonzero(kinetic <= max_kinetic))
+
+
+def _relativistic(norm_sq: float) -> float:
+    return norm_sq / (math.sqrt(norm_sq + 1.0) + 1.0)
+
+
+def integer_cube_count(length: float, max_kinetic: float) -> tuple[int, float]:
+    """(count, margin) of the spin-0 (kg) modes of a cube, in integers.
+
+    A mode counts when |n|^2 <= K = floor(T (T + 2) L^2 / pi^2), so the
+    count is the sum over n1, n2 of isqrt(K - n1^2 - n2^2).  ``margin`` is
+    the relative kinetic-energy distance from T of |n|^2 = K and K + 1,
+    which bound the nearest modes on either side; the count holds where it
+    is far above the merge tolerance.
+    """
+    scale = (math.pi / length) ** 2
+    k = math.floor(max_kinetic * (max_kinetic + 2.0) / scale)
+    total = 0
+    for n1 in range(1, math.isqrt(max(k - 2, 0)) + 1):
+        rest = k - n1 * n1
+        total += sum(math.isqrt(rest - n2 * n2) for n2 in range(1, math.isqrt(rest - 1) + 1))
+    nearest = (_relativistic(k * scale), _relativistic((k + 1) * scale))
+    return total, min(abs(t - max_kinetic) for t in nearest) / max_kinetic
+
+
+def _separable_count(tables, budget: float, kinetic_of, max_kinetic: float) -> tuple[int, float]:
+    """(count, margin) of the index triples whose sum of per-axis x^2 is at
+    most ``budget``, one ``bisect`` into the third table per (n1, n2).
+
+    ``tables[i]`` lists axis i's x^2 for n = 1, 2, ... in ascending order,
+    its last entry a lower bound of every x^2 past the listed ones, above
+    ``budget``.  ``margin`` is the least relative distance from
+    ``max_kinetic`` of ``kinetic_of`` at the sums next to the budget: the
+    largest within it and the least above it (a lower bound where a past
+    entry enters it).
+    """
+    first, second, third = tables
+    total, below, above = 0, 0.0, math.inf
+    for i, x1 in enumerate(first):
+        for j, x2 in enumerate(second):
+            part = x1 + x2
+            fits = bisect.bisect_right(third, budget - part)
+            if i < len(first) - 1 and j < len(second) - 1:
+                total += fits
+            if fits:
+                below = max(below, part + third[fits - 1])
+            above = min(above, part + third[fits])
+    margin = min(max_kinetic - kinetic_of(below), kinetic_of(above) - max_kinetic)
+    return total, margin / max_kinetic
+
+
+def spin0_box_count(lengths, max_kinetic: float, quadratic: bool = False) -> tuple[int, float]:
+    """(count, margin) of the spin-0 modes of a box, from per-axis tables
+    of (n pi / L_i)^2: relativistic dispersion by default, quadratic with
+    ``quadratic=True``; the margin as in ``_separable_count``."""
+    budget = 2.0 * max_kinetic if quadratic else max_kinetic * (max_kinetic + 2.0)
+    tables = []
+    for length in lengths:
+        table = [(math.pi / length) ** 2]
+        while table[-1] <= budget:
+            table.append(((len(table) + 1) * math.pi / length) ** 2)
+        tables.append(table)
+    kinetic_of = (lambda s: 0.5 * s) if quadratic else _relativistic
+    return _separable_count(tables, budget, kinetic_of, max_kinetic)
+
+
+def dirac_one_sweep_count(lengths, max_kinetic: float) -> tuple[int, float]:
+    """(count, margin) of the spin-1/2 modes of a box, by one sweep at the
+    cutoff, with no coupled solve.
+
+    One sweep maps a shared kinetic energy T to the energy of the axis roots
+    at e = T + 2, and it rises with slope in (0, 1), so a mode's coupled
+    level is at most T exactly when its sweep at T is: when the sum of the
+    roots x_i(n_i; e)^2 of n pi - x L - 2 atan(x / e) = 0, each bisected in
+    its branch [(n - 1/2) pi / L, n pi / L], is at most T (T + 2).  The
+    level lies at least as far from T as that sweep, so ``margin`` (as in
+    ``_separable_count``) bounds its distance from the cutoff too.
+    """
+    e = max_kinetic + 2.0
+    budget = max_kinetic * e
+    tables = []
+    for length in lengths:
+        table, n = [], 1
+        while ((n - 0.5) * math.pi / length) ** 2 <= budget:
+            root = bisect_root(
+                lambda x: n * math.pi - x * length - 2.0 * math.atan(x / e),
+                (n - 0.5) * math.pi / length, n * math.pi / length)
+            table.append(root * root)
+            n += 1
+        tables.append(table + [((n - 0.5) * math.pi / length) ** 2])
+    return _separable_count(tables, budget, _relativistic, max_kinetic)
 
 
 def box_state_closed_form(indices, lengths, position, time: float, conjugated: bool):

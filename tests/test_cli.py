@@ -263,6 +263,16 @@ def test_invalid_option_values_exit_2_naming_the_option(args, option):
     assert option in error
 
 
+def test_an_even_or_too_small_grid_is_refused_by_its_option():
+    """``--grid`` takes an odd count >= 3, refused in argparse's
+    ``argument --grid:`` form before any sampling."""
+    for grid in ("4", "1", "2.5"):
+        result = invoke("field", "--dim", "1", "--n", "1", "--lc", "1", "--grid", grid)
+        assert result.exit_code == 2 and result.stdout == ""
+        assert result.stderr.splitlines()[-1].endswith(
+            f"error: argument --grid: need an odd count >= 3, got '{grid}'")
+
+
 def test_version_names_the_program():
     """``python -m relbox`` is the ``relbox`` program, not ``python -m relbox``."""
     done = _run_python("-m", "relbox", "--version")

@@ -206,6 +206,9 @@ def test_integral_indices_of_any_numeric_type_are_kept():
     for model in ("kg", "dirac", "nonrel"):
         level = level_1d(model, 2, 1.0)
         assert level_1d(model, 2.0, 1.0) == level_1d(model, np.int64(2), 1.0) == level
+    for dim in (1, 3):
+        cubes = [BoxSpec.cube(1.0, dim=d) for d in (dim, float(dim), np.int64(dim))]
+        assert cubes == [BoxSpec.cube(1.0, dim=dim)] * 3 and len(cubes[1].lengths) == dim
 
 
 def test_quantum_numbers_arity_check():
@@ -270,6 +273,7 @@ def test_value_type_contract(cls, fields):
 
 INVALID_VALUES = [
     (lambda: BoxSpec.cube(1.0, dim=2), "dim must be 1 or 3, got 2"),
+    (lambda: BoxSpec.cube(1.0, dim=1.5), r"dim must be an integer >= 1, got 1\.5"),
     (lambda: ModeAmplitudes(_AMPS.phi0, _AMPS.chi0, -1, 0.5),
      r"scaled energy must be >= 1, got 0\.5"),
     (lambda: Level("foo", _QNUMS, (1.0, 2.0, 3.0), 2.75, 1), "unknown model 'foo'"),
@@ -293,8 +297,8 @@ INVALID_VALUES = [
 
 
 @pytest.mark.parametrize("build, message", INVALID_VALUES,
-                         ids=["cube-dim-2", "amplitudes-energy-0.5", "level-model-foo",
-                              "level-degeneracy-0", "level-kinetic-negative",
+                         ids=["cube-dim-2", "cube-dim-1.5", "amplitudes-energy-0.5",
+                              "level-model-foo", "level-degeneracy-0", "level-kinetic-negative",
                               "request-max-kinetic-0", "level-degeneracy-1.5", "request-count-2.5",
                               "request-count-nan", "request-max-kinetic-inf", "grid-201.5",
                               "grid-nan"])

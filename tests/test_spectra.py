@@ -1,10 +1,12 @@
 """Level enumeration, degeneracy bookkeeping and state counting."""
 
+import bisect
 import itertools
 import math
 import random
 import sys
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +34,15 @@ from relbox.spectra import (
     _split_lattice,
 )
 
-from oracles import lattice_count, lattice_levels, newton_wavenumbers_3d, weyl_count
+from oracles import (
+    dirac_one_sweep_count,
+    integer_cube_count,
+    lattice_count,
+    lattice_levels,
+    newton_wavenumbers_3d,
+    spin0_box_count,
+    weyl_count,
+)
 
 # Kinetic energy of the first spin-1/2 level in the unit 1D box, from the
 # bisection root y_1 = 2.0287578381104342 through sqrt(x^2 + 1) - 1.
@@ -167,6 +177,50 @@ def test_cubic_multiplicities_partition_the_lattice(n_max):
     )
     inside, shell = _split_lattice("nonrel", BoxSpec.cube(math.pi), 0.5 * (n_max**2 + 0.5), limit)
     assert inside > 0 and inside + sum(w for _, w in shell) == ball
+
+
+@pytest.mark.parametrize("lengths", [(math.pi,) * 3, (1.0, 1.3, 2.1)], ids=["cube", "box"])
+@pytest.mark.parametrize("model", MODELS)
+def test_split_lattice_matches_brute_force_edge_sums(model, lengths):
+    """The walk's shell is every mode whose spin-0 |x|^2 passes the budget
+    at ``threshold`` and whose sum of squared branch edges, (n_i - 1/2) pi
+    / L_i for spin-1/2, is within the budget at ``limit`` (on the cube its
+    sorted triples, weighing their permutations).  Interior and shell weigh
+    every mode in that edge-sum ball, and the interior holds the rest.  The
+    budgets at ``limit`` sit just below and just above each edge sum that
+    opens a column, where the walk's loop tests decide."""
+    box = BoxSpec(lengths)
+    shift = 0.5 if model == "dirac" else 0.0
+
+    def norm_sq(triple, edge):
+        return sum(((n - edge) * math.pi / length) ** 2 for n, length in zip(triple, lengths))
+
+    triples = list(itertools.product(range(1, 20), repeat=3))
+    spin0 = {t: norm_sq(t, 0.0) for t in triples}
+    lowest = {t: norm_sq(t, shift) for t in triples}
+    inner = 60.4  # |x|^2 budget at threshold
+    openers = {lowest[n1, n2, n2 if box.is_cube else 1]
+               for n1, n2 in itertools.product(range(1, 20), repeat=2)}
+    budgets = [s * factor for s in sorted(openers) if 100.0 < s < 150.0
+               for factor in (1 - 1e-6, 1 + 1e-6)]
+    assert len(budgets) >= 8
+    sums = sorted({*spin0.values(), *lowest.values()})
+    for outer in budgets:
+        for budget in (inner, outer):  # no sum within rounding of a budget
+            near = sums[max(bisect.bisect(sums, budget) - 1, 0):][:2]
+            assert all(abs(s - budget) > 1e-7 * budget for s in near)
+        ball = [t for t in triples if lowest[t] <= outer]
+        assert max(map(max, ball)) < 19
+        shell = Counter(tuple(sorted(t)) if box.is_cube else t
+                        for t in ball if spin0[t] > inner)
+        inside, split = _split_lattice(model, box, _kinetic(model, inner), _kinetic(model, outer))
+        assert len(split) == len(shell) and dict(split) == shell
+        assert inside == sum(1 for t in ball if spin0[t] <= inner)
+        assert inside + sum(shell.values()) == len(ball)
+
+
+def _kinetic(model, norm_sq):
+    return 0.5 * norm_sq if model == "nonrel" else _relativistic_kinetic(norm_sq)
 
 
 def test_cube_counts_equal_the_box_one_ulp_longer():
@@ -338,6 +392,40 @@ def test_large_walk_counts_are_pinned(model, lengths, tmax, count):
     """The three large counts whose walk times are tracked, pinned so that
     a faster walk or a thinner spin-1/2 shell must keep them exactly."""
     assert count_states(model, BoxSpec(lengths), tmax) == count
+
+
+@pytest.mark.parametrize(
+    "oracle, count",
+    [
+        (lambda: integer_cube_count(1000.0, 1.0), 87388962),
+        (lambda: integer_cube_count(3000.0, 1.0), 2365939818),
+        (lambda: spin0_box_count((1000.0, 1100.0, 1200.0), 0.5, quadratic=True), 22146919),
+    ],
+    ids=["kg-cube-1000", "kg-cube-3000", "nonrel-box"],
+)
+def test_pinned_spin0_counts_follow_independent_oracles(oracle, count):
+    """The pinned spin-0 counts, and the (3000)^3 count that the walk budget
+    now refuses, from integer and per-axis table oracles that run neither
+    the walk nor a solver.  Every mode lies more than ten merge tolerances
+    from the cutoff, so no merged level can cross it."""
+    counted, margin = oracle()
+    assert margin > 10 * MERGE_REL_TOL
+    assert counted == count
+
+
+@pytest.mark.parametrize(
+    "lengths, tmax, count",
+    [((300.0, 310.0, 320.0), 0.1, 46412), ((1.0, 1.0, 1.0), 100.0, 17061)],
+    ids=["pinned-box", "unit-cube"],
+)
+def test_spin_half_counts_follow_a_one_sweep_oracle(lengths, tmax, count):
+    """The pinned spin-1/2 count and the unit-cube count, from one sweep of
+    bisected axis roots at the cutoff, with no coupled solve; every sweep
+    lies more than ten merge tolerances from the cutoff, and so does every
+    level."""
+    counted, margin = dirac_one_sweep_count(lengths, tmax)
+    assert margin > 10 * MERGE_REL_TOL
+    assert counted == count
 
 
 @pytest.mark.parametrize("chain", [40, 41])

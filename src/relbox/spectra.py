@@ -176,26 +176,14 @@ def count_states(model: str, box: BoxSpec, max_kinetic: float,
 _ROUNDING_REL = 1e-12
 
 
-# Largest 1D index a count resolves.  Up to 2**53 every index is a distinct
-# double, so n pi / L, and the level built from it, tells neighbours apart;
-# beyond it consecutive indices round to the same wavenumber and the count
-# is no longer defined by float64 levels.
-_MAX_1D_INDEX = 2**53
-
-
 def _count_1d(model: str, length: float, max_kinetic: float) -> int:
     """1D levels rise strictly with n and never merge, so the count is the
-    largest n whose level is at most the cutoff.  Every n up to
-    L sqrt(|x|^2 max) / pi at the interior threshold counts; no n whose edge
-    square passes the budget at T (1 + MERGE_REL_TOL) can; the last n that
-    counts is bisected in between, tested in the arithmetic enumeration uses."""
+    largest n whose level is at most the cutoff, bisected in the arithmetic
+    enumeration uses between the ``_last_index`` of the interior threshold (all
+    count) and of the edge squares at T (1 + MERGE_REL_TOL) (none past it can)."""
     shift, top = _BRANCH_SHIFT[model], _norm_sq_budget(model, max_kinetic * (1.0 + MERGE_REL_TOL))
-    edge = length * math.sqrt(top) / math.pi + shift  # the largest n whose edge fits top
-    if not edge < _MAX_1D_INDEX:
-        raise CapacityError("1D count needs indices above 2**53 (float64 resolution)")
-    budget = _norm_sq_budget(model, max_kinetic * (1.0 - 2.0 * MERGE_REL_TOL))
-    lo = math.floor(length * math.sqrt(budget) / math.pi)
-    hi = math.floor(edge) + 2  # one more than a rounding slip of edge can reach
+    hi = _last_index(shift, length, top) + 2  # one more than a rounding slip can reach
+    lo = _last_index(0.0, length, _norm_sq_budget(model, max_kinetic * (1.0 - 2.0 * MERGE_REL_TOL)))
     while hi - lo > 1:
         mid = (lo + hi) // 2
         fits = _edge_sq(shift, mid, length) <= top  # else level_1d may overflow
@@ -235,7 +223,7 @@ def _split_lattice(model: str, box: BoxSpec, threshold: float, limit: float):
     (rise 1), so only sorted triples are walked, each weighing its 6, 3 or
     1 permutations, ``weights[(n1 == n2) + (n2 == n3)]``; elsewhere both
     start at 1 (rise 0) and weigh 1.  A column's interior is every n3 up to
-    one floor of the spin-0 budget left at ``threshold``, each past
+    the ``_last_index`` of the spin-0 budget left at ``threshold``, each past
     n3 = first weighing ``weights[n1 == n2]``; its shell goes on while the
     sum is within ``top``.  One count of the columns and shell triples
     visited raises CapacityError as it passes ``_WALK_BUDGET``, before the
@@ -249,12 +237,11 @@ def _split_lattice(model: str, box: BoxSpec, threshold: float, limit: float):
     inside, shell, steps = 0, [], 0
     n1 = start = 1
     while (low1 := edge(n1, l1)) + edge(start, l2) + edge(start, l3) <= top:
-        left = budget - (n1 * math.pi / l1) ** 2
+        left = budget - _edge_sq(0.0, n1, l1)
         n2 = first = start
         while (low2 := low1 + edge(n2, l2)) + edge(first, l3) <= top:
             steps = _step(steps)
-            rest = left - (n2 * math.pi / l2) ** 2
-            last = math.floor(l3 * math.sqrt(rest) / math.pi) if rest > 0.0 else 0
+            last = _last_index(0.0, l3, left - _edge_sq(0.0, n2, l2))
             if last >= first:
                 inside += weights[(n1 == n2) + (n2 == first)] + (last - first) * weights[n1 == n2]
             n3 = max(last + 1, first)
@@ -271,9 +258,22 @@ def _split_lattice(model: str, box: BoxSpec, threshold: float, limit: float):
 
 def _edge_sq(shift: float, n: int, length: float) -> float:
     """((n - shift) pi / L)^2, the least x^2 of index n (``_BRANCH_SHIFT``);
-    +inf where it overflows (``x * x``: ``x ** 2`` raises there)."""
+    +inf where it overflows (``x * x``: the float power raises there)."""
     x = (n - shift) * math.pi / length
     return x * x
+
+
+def _last_index(shift: float, length: float, budget: float) -> int:
+    """floor(L sqrt(budget) / pi + shift), the inverse of ``_edge_sq``: 0 where
+    budget <= 0, CapacityError from 2**53 on (+inf too).  Up to 2**53 every
+    index is a distinct double, so n pi / L and its level tell neighbours apart;
+    beyond it they round to one wavenumber and float64 levels define no count.
+    A 3D column whose interior reaches 2**53 has at least 1.5e-9 as many shell
+    modes (~1.35e7) below the padded cutoff: the walk budget refuses it too."""
+    last = length * math.sqrt(budget) / math.pi + shift if budget > 0.0 else 0.0
+    if not last < 2**53:
+        raise CapacityError("count needs indices above 2**53 (float64 resolution)")
+    return math.floor(last)
 
 
 def _step(steps: int) -> int:

@@ -505,7 +505,9 @@ def test_count_far_past_the_lattice_bound_is_refused_at_once(args):
     (("spectrum", "--dim", "1", "--lc", "1", "--levels", "200000", "--model", "kg"),
      "1D enumeration needs 200000 levels, above the walk budget 100000"),
     (("count", "--dim", "1", "--lc", "1e300", "--tmax", "1e10"),
-     "1D count needs indices above 2**53 (float64 resolution)"),
+     "count needs indices above 2**53 (float64 resolution)"),
+    (("count", "--dim", "3", "--model", "kg", "--lc", "1e308", "--tmax", "1e150"),
+     "count needs indices above 2**53 (float64 resolution)"),
     (("count", "--dim", "1", "--lc", "1e-300", "--tmax", "1e300"),
      "|x|^2 at kinetic energy 1.0000000010000002e+300 overflows float64"),
     (("spectrum", "--dim", "1", "--lc", "1", "--tmax", "1e300"),
@@ -516,9 +518,14 @@ def test_count_far_past_the_lattice_bound_is_refused_at_once(args):
      "kinetic energy of indices (1,) in box (1e-160,) overflows float64"),
     (("spectrum", "--dim", "1", "--model", "dirac", "--lc", "1e-300", "--levels", "3"),
      "kinetic energy of indices (1,) in box (1e-300,) overflows float64"),
-], ids=["count-3d-30000", "spectrum-3d", "spectrum-1d", "count-1d", "count-1d-overflow",
-        "spectrum-1d-overflow", "count-3d-overflow", "spectrum-1d-kg-level-overflow",
-        "spectrum-1d-dirac-level-overflow"])
+    (("spectrum", "--dim", "3", "--model", "dirac", "--lc", "2.244e-154", "--levels", "5"),
+     f"kinetic energy of indices (1, 1, 1) in box {(2.244e-154,) * 3} overflows float64"),
+    (("count", "--dim", "3", "--model", "dirac", "--lc", "2.244e-154", "--tmax", "1.25e154"),
+     f"kinetic energy of indices (1, 1, 1) in box {(2.244e-154,) * 3} overflows float64"),
+], ids=["count-3d-30000", "spectrum-3d", "spectrum-1d", "count-1d", "count-3d-index",
+        "count-1d-overflow", "spectrum-1d-overflow", "count-3d-overflow",
+        "spectrum-1d-kg-level-overflow", "spectrum-1d-dirac-level-overflow",
+        "spectrum-3d-dirac-spin0-square-overflow", "count-3d-dirac-spin0-square-overflow"])
 def test_capacity_refusal_names_its_bound_once(args, message):
     """Each refusal is the library's own message on one line, exit 4."""
     result = invoke(*args)

@@ -770,6 +770,41 @@ def test_3d_count_with_overflowing_energies_is_not_a_silent_zero(model, length):
     assert count_states("nonrel", box, 1e170) == 0
 
 
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda: count_states("kg", BoxSpec.cube(1e308), 1e150), id="kg-index-inf"),
+    pytest.param(lambda: count_states("dirac", BoxSpec.cube(math.pi / 1.4e154), 1.25e154),
+                 id="dirac-count"),
+    pytest.param(lambda: enumerate_levels(
+        SpectrumRequest("dirac", BoxSpec.cube(2.244e-154), count=5)), id="dirac-levels"),
+])
+def test_3d_column_floors_past_float64_are_capacity_errors(run):
+    """At L = 1e308, T = 1e150 a column's interior floor L sqrt(|x|^2) / pi is
+    +inf; at the dirac cubes each (n pi / L)^2 overflows although the branch
+    edges pass the budget, so the column's interior is empty and the solved
+    levels overflow: typed errors, not an OverflowError."""
+    with pytest.raises(CapacityError):
+        run()
+
+
+_INDEX_REFUSAL = "count needs indices above 2**53 (float64 resolution)"
+
+
+@pytest.mark.parametrize("model, length, message", [
+    ("nonrel", 1.05e15, "than the walk budget 100000"),
+    ("kg", 1e17, _INDEX_REFUSAL),
+    ("dirac", 1e17, _INDEX_REFUSAL),
+    ("nonrel", 1e17, _INDEX_REFUSAL),
+], ids=["nonrel-1.05e15-walk-budget", "kg-1e17-index", "dirac-1e17-index", "nonrel-1e17-index"])
+def test_the_walk_budget_refuses_below_2_53_and_the_index_rule_from_it(model, length, message):
+    """On (1, 1, L3) at T = 100 the first column's interior ends near
+    4.5 L3 (nonrel) or 32 L3 (kg, dirac).  Below 2**53 (nonrel at
+    L3 = 1.05e15, ~4.7e15) its ~7e6 shell modes pass the walk budget; from
+    2**53 on the index rule refuses the column before its shell is walked."""
+    with pytest.raises(CapacityError) as refused:
+        count_states(model, BoxSpec((1.0, 1.0, length)), 100.0)
+    assert str(refused.value).endswith(message)
+
+
 @pytest.mark.parametrize("model", ["kg", "dirac"])
 def test_3d_count_with_an_overflowing_cutoff_is_a_capacity_error(model):
     """|x|^2 = T (T + 2) at T = 1e160 overflows, so no column floor can be

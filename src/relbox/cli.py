@@ -10,7 +10,7 @@ of CPUs.  Exit codes, all
 chosen by ``main``: 0 success, 1 output not written (an unwritable
 ``--out``; a closed stdout pipe, silently), 2 bad usage, 3 solver failure,
 4 capacity exceeded (the walk budget, float64 resolution or the float64
-range passed; a ``field`` grid too large to allocate; running out of
+range passed; a ``field`` grid too large to allocate or index; running out of
 memory; a row-formatting worker that failed, was killed or could not
 start).  ``--out`` is written whole or not at all; stdout, once written,
 cannot be taken back.
@@ -26,7 +26,7 @@ import sys
 from collections.abc import Iterator
 
 from . import __version__
-from .core import MODELS, BoxSpec, QuantumNumbers
+from .core import MODELS, BoxSpec, QuantumNumbers, _integer, _positive_finite
 from .errors import CapacityError, ConvergenceError
 
 __all__ = ["cli", "main", "annotate_units"]
@@ -328,24 +328,25 @@ def _unwritten(exc: OSError) -> int:
     return 1
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    try:
-        items = tuple(float(v) for v in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated float list")
-    if not all(0.0 < v < math.inf for v in items):
-        raise argparse.ArgumentTypeError("entries must be positive finite numbers")
-    return items
+def _entries(convert, kind: str, rule):
+    """A comma-separated list parser: each entry made by ``convert`` (else not a
+    ``kind`` list) and checked by the ``core`` ``rule``, which names the value."""
+
+    def parse(text: str) -> tuple:
+        try:
+            items = [convert(v) for v in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated {kind} list")
+        try:
+            return tuple(rule("entries", v) for v in items)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+
+    return parse
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    try:
-        items = tuple(int(v) for v in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated integer list")
-    if min(items) < 1:
-        raise argparse.ArgumentTypeError("entries must be integers >= 1")
-    return items
+_floats = _entries(float, "float", _positive_finite)
+_ints = _entries(int, "integer", _integer)
 
 
 def _one(parse):
@@ -524,6 +525,8 @@ def _field(args) -> None:
         "conjugate": args.conjugate,
     }
     try:
+        if grid ** dim * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
+            raise MemoryError("more bytes than numpy can index")  # numpy's ValueError past it
         table, summary = build()
     except MemoryError as exc:
         raise CapacityError(f"a grid of {grid} points per axis does not fit in memory{_why(exc)}")

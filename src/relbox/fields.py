@@ -55,8 +55,8 @@ class FieldSample(namedtuple("FieldSample", "position time spinor rho current"))
 
 
 class BoxState(namedtuple("BoxState", "box qnums conjugated")):
-    """Descriptor of one positive-energy box eigenstate, optionally charge
-    conjugated (which flips the sign of energy, density and current).
+    """Descriptor of one box eigenstate on the positive-energy branch, or charge
+    conjugated onto the negative one (flipping energy, density and current).
     CapacityError where |x|^2 or 2^d / volume leaves the float64 range."""
 
     __slots__ = ()
@@ -82,18 +82,15 @@ class BoxState(namedtuple("BoxState", "box qnums conjugated")):
     def scaled_energy(self) -> float:
         """Signed energy in units of mc^2: +eps for the particle state,
         -eps for its charge conjugate."""
-        eps = self._mode().scaled_energy
-        return -eps if self.conjugated else eps
+        mode = self._mode()
+        return mode.branch * mode.scaled_energy
 
     def _mode(self) -> ModeAmplitudes:
-        return mode_amplitudes(math.sqrt(_norm_sq(self.wavenumbers)), +1)
+        return mode_amplitudes(math.sqrt(_norm_sq(self.wavenumbers)), -1 if self.conjugated else +1)
 
     def amplitudes(self) -> tuple[float, float]:
         """(upper, lower) spatial amplitudes in front of the sine profile."""
-        amps = self._mode()
-        if self.conjugated:
-            return amps.chi0, amps.phi0
-        return amps.phi0, amps.chi0
+        return self._mode()[:2]
 
     def prefactor(self) -> float:
         """Normalization sqrt(2^d / V)."""
@@ -114,12 +111,9 @@ class BoxState(namedtuple("BoxState", "box qnums conjugated")):
             if not np.all((coords >= 0.0) & (coords <= length)):
                 raise ValueError(f"coordinates {coords} outside the closed box [0, {length}]")
         sines = _sine_profiles(self, axes)
-        a_up, a_lo = self.amplitudes()
-        pref = self.prefactor()
         phase = cmath.exp(-1j * self.scaled_energy * time)
         profile = _outer(sines)
-        upper = pref * a_up * profile * phase
-        lower = pref * a_lo * profile * phase
+        upper, lower = (component * phase for component in _components(self, profile))
         # Charge current from psi = upper + lower: J_k = Im(conj(psi) d_k psi).
         psi_conj = np.conj(_component_sum(self, profile) * phase)
         current = []
@@ -169,6 +163,11 @@ def _outer(factors) -> np.ndarray:
     return out
 
 
+def _components(state: BoxState, profile) -> tuple[np.ndarray, np.ndarray]:
+    """(upper, lower) on ``profile``: prefactor times amplitude times it."""
+    return tuple(state.prefactor() * amplitude * profile for amplitude in state.amplitudes())
+
+
 def _component_sum(state: BoxState, profile) -> np.ndarray:
     """upper + lower on ``profile``: prefactor (phi0 + chi0) times it, with
     phi0 + chi0 = 1 / sqrt(|E|) for a conjugated state too.  Adding the two
@@ -187,7 +186,7 @@ def _density(state: BoxState, profiles, box_units: bool = False) -> np.ndarray:
     ±2^d times the squared profile.
     """
     scale = 2.0 ** state.box.dimension if box_units else state.prefactor() ** 2
-    scale *= -1.0 if state.conjugated else 1.0
+    scale *= state._mode().branch
     return _unsigned(scale * _outer([p**2 for p in profiles]))
 
 
@@ -260,11 +259,8 @@ def stationarity_residual(
     that the residual actually detects a wrong energy.
     """
     profile = _outer(_sine_profiles(state, grid.axes(state.box)))
-    a_up, a_lo = state.amplitudes()
-    pref = state.prefactor()
     e_val = state.scaled_energy if energy is None else float(energy)
-    upper = pref * a_up * profile
-    lower = pref * a_lo * profile
+    upper, lower = _components(state, profile)
     psi = _component_sum(state, profile)
     with np.errstate(over="ignore", invalid="ignore"):
         kinetic_term = -0.5 * _fd_laplacian(psi, state.box, grid.points_per_axis)

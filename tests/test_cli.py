@@ -263,6 +263,20 @@ def test_invalid_option_values_exit_2_naming_the_option(args, option):
     assert option in error
 
 
+@pytest.mark.parametrize("args, line", [
+    (("spectrum", "--lc", "1,-1"), "argument --lc: entries must be positive and finite, got -1.0"),
+    (("field", "--n", "0", "--lc", "1"), "argument --n: entries must be an integer >= 1, got 0"),
+    (("spectrum", "--levels", "0"), "argument --levels: entries must be an integer >= 1, got 0"),
+    (("spectrum", "--tmax", "inf"), "argument --tmax: entries must be positive and finite, got inf"),
+], ids=["lc-negative", "n-zero", "levels-zero", "tmax-inf"])
+def test_a_refused_option_value_is_named_in_the_error_line(args, line):
+    """An option's entries are checked by the library's own rule, whose
+    message names the refused value after the option."""
+    result = invoke(*args)
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr.splitlines()[-1].endswith(f"error: {line}")
+
+
 def test_an_even_or_too_small_grid_is_refused_by_its_option():
     """``--grid`` takes an odd count >= 3, refused in argparse's
     ``argument --grid:`` form before any sampling."""
@@ -600,6 +614,24 @@ def test_field_grid_beyond_memory_exit_code():
     assert result.stdout == ""
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
     assert "100000000000001" in result.stderr
+
+
+@pytest.mark.parametrize("dim, n", [(1, "1"), (3, "1,1,1")])
+def test_field_grid_past_numpy_indexing_exit_code(monkeypatch, dim, n):
+    """A grid whose arrays hold more bytes than numpy can index is refused
+    like one too large to allocate (exit 4, one error line), before any
+    array of the grid is made."""
+
+    def no_axes(*args, **kwargs):
+        raise AssertionError("grid axes allocated")
+
+    monkeypatch.setattr("relbox.fields.GridSpec.axes", no_axes)
+    grid = "9999999999999999999"
+    result = invoke("field", "--dim", str(dim), "--n", n, "--lc", "1", "--grid", grid)
+    assert result.exit_code == 4
+    assert result.stdout == ""
+    assert result.stderr == (f"error: a grid of {grid} points per axis does not fit in memory "
+                             "(more bytes than numpy can index)\n")
 
 
 def _out_of_memory(*args, **kwargs):

@@ -16,8 +16,7 @@ __version__ = "0.1.0"
 # neither the root solvers nor the level tables, so a process compiles only
 # the modules its command uses.
 _LAZY_NAMES = {
-    "rootfind": ("kg_wavenumber_1d", "dirac_wavenumber_1d", "kg_wavenumbers_3d",
-                 "dirac_wavenumbers_3d"),
+    "rootfind": ("dirac_wavenumber_1d", "dirac_wavenumbers_3d"),
     "spectra": ("Level", "SpectrumRequest", "level_1d", "level_3d", "enumerate_levels",
                 "count_states", "spectrum_table"),
     "fields": ("GridSpec", "FieldSample", "FieldGrid", "BoxState", "conjugated_state",

@@ -1,4 +1,5 @@
-"""Unit conventions, two-component spinor algebra and dispersion relations.
+"""Unit conventions, two-component spinor algebra, dispersion relations and
+the spin-0 box quantization.
 
 Everything is dimensionless: natural units hbar = c = m = 1, so lengths are
 measured in Compton wavelengths, wavenumbers are k * lambda_C, and energies
@@ -20,6 +21,8 @@ __all__ = [
     "mode_amplitudes",
     "charge_conjugate",
     "dispersion",
+    "kg_wavenumber_1d",
+    "kg_wavenumbers_3d",
 ]
 
 # The three dispersion models: spin-0 (``kg``), spin-1/2 (``dirac``) and the
@@ -193,6 +196,25 @@ def dispersion(model: str, wavenumbers: tuple[float, ...]) -> float:
     if model == "nonrel":
         return 0.5 * norm_sq
     raise ValueError(f"unknown model {model!r}")
+
+
+def _spin0_wavenumber(n: int, length: float) -> float:
+    """n pi / L, the spin-0 (node-at-the-wall) quantization of one axis."""
+    return n * math.pi / length
+
+
+def kg_wavenumber_1d(n: int, box_length: float) -> float:
+    """Spin-0 box wavenumber n pi / L (node-at-the-wall quantization)."""
+    n, box_length = _integer("quantum number", n), _positive_finite("box length", box_length)
+    return _spin0_wavenumber(n, box_length)
+
+
+def kg_wavenumbers_3d(qnums: QuantumNumbers, box: BoxSpec) -> tuple[float, float, float]:
+    """Spin-0 wavenumbers n_i pi / L_i, one per axis."""
+    if box.dimension != 3:
+        raise ValueError(f"need a 3D box, got {box.dimension}D")
+    qnums.check_matches(box)
+    return tuple(map(_spin0_wavenumber, qnums.indices, box.lengths))
 
 
 def charge_conjugate(spinor: FVSpinor) -> FVSpinor:

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import _LAZY_NAMES
 from .core import (
-    BoxSpec, FVSpinor, ModeAmplitudes, QuantumNumbers, _integer, _norm_sq, mode_amplitudes,
+    BoxSpec, FVSpinor, ModeAmplitudes, QuantumNumbers, _integer, _norm_sq, _spin0_wavenumber,
+    mode_amplitudes,
 )
 from .errors import CapacityError
 
@@ -73,10 +74,7 @@ class BoxState(namedtuple("BoxState", "box qnums conjugated")):
 
     @property
     def wavenumbers(self) -> tuple[float, ...]:
-        return tuple(
-            n * math.pi / length
-            for n, length in zip(self.qnums.indices, self.box.lengths)
-        )
+        return tuple(map(_spin0_wavenumber, self.qnums.indices, self.box.lengths))
 
     @property
     def scaled_energy(self) -> float:

@@ -1,8 +1,9 @@
-"""Boundary-condition solvers for the confined relativistic modes.
+"""Boundary-condition solvers for the confined spin-1/2 modes.
 
-The spin-1/2 box quantization replaces the node-at-the-wall rule by
-transcendental equations: in 1D a single tangent equation per level, in 3D a
-set of three coupled tangent equations sharing the total kinetic energy.
+The spin-1/2 box quantization replaces the node-at-the-wall rule n pi / L of
+spin 0 (stated in :mod:`relbox.core`) by transcendental equations: in 1D a
+single tangent equation per level, in 3D a set of three coupled tangent
+equations sharing the total kinetic energy.
 Each of them is solved for the offset delta = n pi - y of its root y = x L
 from the top of the branch [(n - 1/2) pi, n pi], in the one reduced form
 delta = c atan((n pi - delta) / s), by a monotone Newton iteration, and
@@ -18,7 +19,7 @@ import math
 from collections.abc import Callable
 
 from . import _LAZY_NAMES
-from .core import BoxSpec, QuantumNumbers, _integer, _positive_finite, dispersion
+from .core import BoxSpec, QuantumNumbers, _integer, _positive_finite, dispersion, kg_wavenumbers_3d
 from .errors import ConvergenceError
 
 __all__ = list(_LAZY_NAMES["rootfind"])
@@ -81,12 +82,6 @@ def _solve_branch(f: Callable[[float], float], n: int, c: float, s: float) -> fl
     )
 
 
-def kg_wavenumber_1d(n: int, box_length: float) -> float:
-    """Spin-0 box wavenumber n pi / L (node-at-the-wall quantization)."""
-    _check_1d_args(n, box_length)
-    return n * math.pi / box_length
-
-
 def dirac_wavenumber_1d(n: int, box_length: float) -> float:
     """nth spin-1/2 box wavenumber: root of tan(y) = -y / L with y = x L.
 
@@ -94,25 +89,12 @@ def dirac_wavenumber_1d(n: int, box_length: float) -> float:
     n pi / L, and approaches it as the box grows.  Its offset from the top
     of the branch solves delta = atan((n pi - delta) / L).
     """
-    _check_1d_args(n, box_length)
+    n, box_length = _integer("quantum number", n), _positive_finite("box length", box_length)
 
     def f(y: float) -> float:
         return math.tan(y) + y / box_length
 
     return _solve_branch(f, n, 1.0, box_length) / box_length
-
-
-def _check_1d_args(n: int, box_length: float) -> None:
-    _integer("quantum number", n)
-    _positive_finite("box length", box_length)
-
-
-def kg_wavenumbers_3d(qnums: QuantumNumbers, box: BoxSpec) -> tuple[float, float, float]:
-    """Spin-0 wavenumbers n_i pi / L_i, one per axis."""
-    _check_3d_args(qnums, box)
-    n = qnums.indices
-    lengths = box.lengths
-    return tuple(n[i] * math.pi / lengths[i] for i in range(3))
 
 
 def dirac_wavenumbers_3d(qnums: QuantumNumbers, box: BoxSpec) -> tuple[float, float, float]:
@@ -182,9 +164,3 @@ def _solve_axis(n_i: int, length: float, e_sum: float) -> float:
         return math.tan(y) - 2.0 * e_sum * x / (x * x - e_sum * e_sum)
 
     return _solve_branch(f, n_i, 2.0, length * e_sum) / length
-
-
-def _check_3d_args(qnums: QuantumNumbers, box: BoxSpec) -> None:
-    if box.dimension != 3:
-        raise ValueError(f"need a 3D box, got {box.dimension}D")
-    qnums.check_matches(box)

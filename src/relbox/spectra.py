@@ -22,14 +22,12 @@ from collections import namedtuple
 from functools import partial
 
 from . import _LAZY_NAMES
-from .core import MODELS, BoxSpec, QuantumNumbers, _integer, _positive_finite, dispersion
-from .errors import CapacityError
-from .rootfind import (
-    dirac_wavenumber_1d,
-    dirac_wavenumbers_3d,
-    kg_wavenumber_1d,
+from .core import (
+    MODELS, BoxSpec, QuantumNumbers, _integer, _positive_finite, dispersion, kg_wavenumber_1d,
     kg_wavenumbers_3d,
 )
+from .errors import CapacityError
+from .rootfind import dirac_wavenumber_1d, dirac_wavenumbers_3d
 
 __all__ = list(_LAZY_NAMES["spectra"])
 
@@ -118,11 +116,13 @@ def level_3d(model: str, qnums: QuantumNumbers, box: BoxSpec) -> Level:
 
 def _level(model: str, qnums: QuantumNumbers, lengths, xs: tuple[float, ...]) -> Level:
     """The level of wavenumbers ``xs``; CapacityError where its kinetic
-    energy overflows float64."""
+    energy leaves the normal float64 range.  A subnormal kinetic energy
+    keeps only a few digits, which the MERGE_REL_TOL pads do not cover."""
     kinetic = dispersion(model, xs)
-    if kinetic == math.inf:
+    if not sys.float_info.min <= kinetic < math.inf:
+        bound = "overflows" if kinetic == math.inf else "underflows"
         raise CapacityError(
-            f"kinetic energy of indices {qnums.indices} in box {lengths} overflows float64"
+            f"kinetic energy of indices {qnums.indices} in box {lengths} {bound} float64"
         )
     return Level(model, qnums, xs, kinetic, 1)
 
@@ -365,7 +365,9 @@ def _enumerate_3d(request: SpectrumRequest) -> list[Level]:
     starts, the threshold rising with the start), and K <= K'.  The next
     round solves every mode up to K' and ends.  The reach stops at the
     largest cutoff whose |x|^2 budget is finite, and a count-th level past
-    it is refused as an overflow.
+    it is refused as an overflow.  A reach of 0, where the edge energy
+    underflows, walks (1, 1, 1), whose level ``_level`` refuses, so a
+    doubled reach is never 0.
 
     Every round's walk is bounded by ``_WALK_BUDGET``.  A budget refusal
     never hides a level that a smaller budget would return: the reaches
@@ -401,7 +403,7 @@ def _enumerate_3d(request: SpectrumRequest) -> list[Level]:
             if len(levels) >= count:
                 reach = levels[count - 1].kinetic
             else:
-                reach = max(2.0 * reach, math.ulp(0.0))  # an edge energy can underflow to 0
+                reach *= 2.0
     return [lv for lv in merged(cutoff * margin) if lv.kinetic <= cutoff][:count]
 
 

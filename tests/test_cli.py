@@ -536,10 +536,24 @@ def test_count_far_past_the_lattice_bound_is_refused_at_once(args):
      f"kinetic energy of indices (1, 1, 1) in box {(2.244e-154,) * 3} overflows float64"),
     (("count", "--dim", "3", "--model", "dirac", "--lc", "2.244e-154", "--tmax", "1.25e154"),
      f"kinetic energy of indices (1, 1, 1) in box {(2.244e-154,) * 3} overflows float64"),
+    (("spectrum", "--dim", "3", "--model", "kg", "--lc", "1e160", "--levels", "2"),
+     f"kinetic energy of indices (1, 1, 1) in box {(1e160,) * 3} underflows float64"),
+    (("spectrum", "--dim", "3", "--model", "kg", "--lc", "1e163", "--levels", "4"),
+     f"kinetic energy of indices (1, 1, 1) in box {(1e163,) * 3} underflows float64"),
+    (("spectrum", "--dim", "1", "--model", "kg", "--lc", "1e300", "--levels", "3"),
+     "kinetic energy of indices (1,) in box (1e+300,) underflows float64"),
+    (("spectrum", "--dim", "1", "--model", "dirac", "--lc", "1.3e308", "--levels", "1",
+      "--preset", "pion"),
+     "kinetic energy of indices (1,) in box (1.3e+308,) underflows float64"),
+    (("count", "--dim", "3", "--model", "dirac", "--lc", "1e160", "--tmax", "1e-318"),
+     f"kinetic energy of indices (1, 2, 4) in box {(1e160,) * 3} underflows float64"),
 ], ids=["count-3d-30000", "spectrum-3d", "spectrum-1d", "count-1d", "count-3d-index",
         "count-1d-overflow", "spectrum-1d-overflow", "count-3d-overflow",
         "spectrum-1d-kg-level-overflow", "spectrum-1d-dirac-level-overflow",
-        "spectrum-3d-dirac-spin0-square-overflow", "count-3d-dirac-spin0-square-overflow"])
+        "spectrum-3d-dirac-spin0-square-overflow", "count-3d-dirac-spin0-square-overflow",
+        "spectrum-3d-kg-level-underflow", "spectrum-3d-kg-level-underflow-to-0",
+        "spectrum-1d-kg-level-underflow", "spectrum-1d-dirac-pion-level-underflow",
+        "count-3d-dirac-shell-underflow"])
 def test_capacity_refusal_names_its_bound_once(args, message):
     """Each refusal is the library's own message on one line, exit 4."""
     result = invoke(*args)

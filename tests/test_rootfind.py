@@ -21,7 +21,7 @@ from relbox import (
 )
 import relbox.rootfind
 
-from oracles import dirac_root_1d, newton_wavenumbers_3d
+from oracles import COUPLED_ROOTS_3D, dirac_root_1d, newton_wavenumbers_3d
 
 # Bisection-oracle roots of tan(y) + y = 0 (unit box), tolerance 1e-12.
 Y1_UNIT_BOX = 2.0287578381104342
@@ -345,6 +345,23 @@ def test_dirac_3d_with_an_overflowing_spin0_start_answers():
     for ni, x, reference in zip(n, xs, OVERFLOWING_START_ROOTS):
         assert (ni - 0.5) * math.pi / length <= x < ni * math.pi / length
         assert math.isclose(x, reference, rel_tol=1e-12, abs_tol=0.0)
+
+
+def test_dirac_3d_roots_match_the_300_bit_coupled_oracle():
+    """Every 3D spin-1/2 wavenumber lies within 5.22e-13 relative of the
+    coupled root of ``oracles.COUPLED_ROOTS_3D`` (120 random boxes, the 16
+    dirac levels of the 3D figure table and the overflowing-spin-0-start
+    cube): the gap that the 1e-12 sweep stop leaves where the sweeps
+    contract slowly.  Measured largest gap: 5.2174e-13 (3767 ulp), axis 3 of
+    box 117, (16, 5, 1) in (44.6, 32.9, 0.129), which stops after 26 sweeps
+    at a last update of 9.9e-13; 1.15e-13 over the figure-table levels and
+    1.05e-13 at the overflowing start."""
+    gaps = []
+    for lengths, indices, roots in COUPLED_ROOTS_3D:
+        xs = dirac_wavenumbers_3d(QuantumNumbers(indices), BoxSpec(lengths))
+        gaps.extend((abs(x - root) / root, lengths, indices) for x, root in zip(xs, roots))
+    assert len(gaps) == 3 * 137
+    assert max(gaps)[0] <= 5.22e-13, max(gaps)
 
 
 def test_dirac_3d_iteration_cap(monkeypatch):

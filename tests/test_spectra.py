@@ -7,6 +7,7 @@ import random
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -881,6 +882,52 @@ def test_levels_past_the_float_range_are_capacity_errors(model):
         enumerate_levels(SpectrumRequest(model, BoxSpec.cube(1e-160, dim=1), count=200_000))
     with pytest.raises(CapacityError, match=r"indices \(1, 1, 1\) in box \(1e-160, "):
         level_3d(model, QuantumNumbers((1, 1, 1)), BoxSpec.cube(1e-160))
+
+
+def test_levels_below_the_normal_float_range_are_capacity_errors():
+    """A subnormal kinetic energy keeps only a few digits: at L = 1e160 the
+    (1, 1, 1) energy 1.48044066e-319 rounds to 1.4804183e-319, and levels
+    that round alike would merge.  Both level builders refuse it."""
+    with pytest.raises(CapacityError, match=r"^kinetic energy of indices \(1, 1, 1\) in box "
+                                            r"\(1e\+160, 1e\+160, 1e\+160\) underflows float64$"):
+        enumerate_levels(SpectrumRequest("kg", BoxSpec.cube(1e160), count=2))
+    with pytest.raises(CapacityError, match=r"indices \(1,\) in box \(1e\+300,\) underflows"):
+        level_1d("kg", 1, 1e300)
+    with pytest.raises(CapacityError, match="underflows float64$"):
+        level_3d("dirac", QuantumNumbers((1, 1, 1)), BoxSpec.cube(1e163))
+
+
+def test_subnormal_cutoff_count_needing_no_solve_is_the_exact_lattice_count():
+    """At L = 1e160, T = 1e-318 (parsed to the subnormal 9.99998748e-319) no
+    spin-0 mode lies in the shell, so none is solved: the count is that of
+    the triples with |n|^2 <= T (T + 2) L^2 / pi^2 = 20.26, in exact
+    rationals."""
+    length, cutoff = 1e160, 1e-318
+    t = Fraction(cutoff)
+    bound = t * (t + 2) * Fraction(length) ** 2 / Fraction(math.pi) ** 2
+    assert 20 < bound < 21
+    exact = sum(1 for n in itertools.product(range(1, 5), repeat=3)
+                if sum(i * i for i in n) <= 20)
+    assert exact == 26
+    assert count_states("kg", BoxSpec.cube(length), cutoff) == exact
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("length", [1e-150, 1e-100, 1.0, 1e100, 1e150, 1e155, 1e158, 1e160,
+                                    1e163])
+def test_count_request_answers_in_full_or_refuses(length, model, dim):
+    """Across the float64 range a request for 4 levels returns 4 strictly
+    increasing levels, each with a normal kinetic energy, or a CapacityError;
+    never fewer levels, a repeated level or one rounded to 0."""
+    try:
+        levels = enumerate_levels(SpectrumRequest(model, BoxSpec.cube(length, dim), count=4))
+    except CapacityError:
+        return
+    kinetic = [level.kinetic for level in levels]
+    assert len(kinetic) == 4
+    assert all(a < b for a, b in zip(kinetic, kinetic[1:]))
+    assert kinetic[0] >= sys.float_info.min
 
 
 def test_dirac_3d_table_at_a_sweep_tolerance_below_float64_resolution(monkeypatch):

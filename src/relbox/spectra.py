@@ -365,9 +365,11 @@ def _enumerate_3d(request: SpectrumRequest) -> list[Level]:
     starts, the threshold rising with the start), and K <= K'.  The next
     round solves every mode up to K' and ends.  The reach stops at the
     largest cutoff whose |x|^2 budget is finite, and a count-th level past
-    it is refused as an overflow.  A reach of 0, where the edge energy
-    underflows, walks (1, 1, 1), whose level ``_level`` refuses, so a
-    doubled reach is never 0.
+    it is refused as an overflow.  An edge energy can round to 0 although
+    the edge |x|^2 does not (half of one subnormal ulp ties to 0), and such
+    a reach walks nothing, so a doubled reach is at least the smallest
+    subnormal; it grows until (1, 1, 1) is walked, whose level ``_level``
+    refuses as an underflow.
 
     Every round's walk is bounded by ``_WALK_BUDGET``.  A budget refusal
     never hides a level that a smaller budget would return: the reaches
@@ -403,7 +405,7 @@ def _enumerate_3d(request: SpectrumRequest) -> list[Level]:
             if len(levels) >= count:
                 reach = levels[count - 1].kinetic
             else:
-                reach *= 2.0
+                reach = max(2.0 * reach, math.ulp(0.0))  # an edge energy can underflow to 0
     return [lv for lv in merged(cutoff * margin) if lv.kinetic <= cutoff][:count]
 
 

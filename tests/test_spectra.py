@@ -26,6 +26,7 @@ from relbox import (
 )
 import relbox.rootfind
 import relbox.spectra
+from relbox.core import dispersion
 from relbox.spectra import (
     MERGE_REL_TOL,
     MODELS,
@@ -912,19 +913,49 @@ def test_subnormal_cutoff_count_needing_no_solve_is_the_exact_lattice_count():
     assert count_states("kg", BoxSpec.cube(length), cutoff) == exact
 
 
+@pytest.mark.parametrize("model, lengths", [
+    ("kg", (1.4e162, 2.5e162, 2.5e162)),
+    ("nonrel", (1.4e162, 2.5e162, 2.5e162)),
+    ("dirac", (0.7e162, 2.5e162, 2.5e162)),
+], ids=["kg", "nonrel", "dirac"])
+def test_count_request_whose_edge_energy_rounds_to_0_is_refused(monkeypatch, model, lengths):
+    """The edge |x|^2 is one subnormal ulp (the two other squares round to 0)
+    and the edge energy, half of it, ties to 0.  A reach of 0 walks nothing,
+    so the reach must still grow until (1, 1, 1) is walked and refused.  A
+    round counter fails the test where the reach stays 0, instead of
+    looping for ever."""
+    edges = [(1 - relbox.spectra._BRANCH_SHIFT[model]) * math.pi / length for length in lengths]
+    assert math.fsum(x * x for x in edges) == math.ulp(0.0)
+    assert dispersion(model, edges) == 0.0
+    split, rounds = relbox.spectra._split_lattice, []
+
+    def counted_split(*args):
+        rounds.append(args)
+        assert len(rounds) < 64, "the reach does not grow"
+        return split(*args)
+
+    monkeypatch.setattr(relbox.spectra, "_split_lattice", counted_split)
+    with pytest.raises(CapacityError, match=r"^kinetic energy of indices \(1, 1, 1\) in box "
+                                            r".* underflows float64$"):
+        enumerate_levels(SpectrumRequest(model, BoxSpec(lengths), count=1))
+
+
 @pytest.mark.parametrize("dim", [1, 3])
 @pytest.mark.parametrize("model", MODELS)
 @pytest.mark.parametrize("length", [1e-150, 1e-100, 1.0, 1e100, 1e150, 1e155, 1e158, 1e160,
                                     1e163])
 def test_count_request_answers_in_full_or_refuses(length, model, dim):
     """Across the float64 range a request for 4 levels returns 4 strictly
-    increasing levels, each with a normal kinetic energy, or a CapacityError;
-    never fewer levels, a repeated level or one rounded to 0."""
-    try:
-        levels = enumerate_levels(SpectrumRequest(model, BoxSpec.cube(length, dim), count=4))
-    except CapacityError:
+    increasing levels, each with a normal kinetic energy, or refuses;
+    never fewer levels, a repeated level or one rounded to 0.  Up to
+    L = 1e150 the lowest kinetic energy, ~(pi / L)^2 / 2, is normal and the
+    request answers; from L = 1e155 on it is subnormal and is refused."""
+    request = SpectrumRequest(model, BoxSpec.cube(length, dim), count=4)
+    if length > 1e150:
+        with pytest.raises(CapacityError, match="underflows float64$"):
+            enumerate_levels(request)
         return
-    kinetic = [level.kinetic for level in levels]
+    kinetic = [level.kinetic for level in enumerate_levels(request)]
     assert len(kinetic) == 4
     assert all(a < b for a, b in zip(kinetic, kinetic[1:]))
     assert kinetic[0] >= sys.float_info.min

@@ -15,7 +15,9 @@ def run() -> None:
     The exit code is the one CPython gives the ``SystemExit`` that ``main``
     raises: 0 for None, an int as it is, 1 for any other value, which is
     printed on stderr.  Output that cannot be flushed exits 1, as inside
-    ``main``.  Any other exception propagates, so its traceback prints and
+    ``main``, after a success; after a failure it keeps that failure's code
+    and error line, so output that ``main`` could not write is reported
+    once.  Any other exception propagates, so its traceback prints and
     teardown runs.  OpenBLAS starts with one thread unless
     ``OPENBLAS_NUM_THREADS`` is set: no command makes a BLAS call.
     """
@@ -32,7 +34,7 @@ def run() -> None:
         if sys.stdout is not None:
             sys.stdout.flush()
     except OSError as exc:
-        code = _unwritten(exc)
+        code = code or _unwritten(exc)
     if sys.stderr is not None:
         sys.stderr.flush()
     os._exit(code)

@@ -6,14 +6,13 @@ their shortest round-trip form (``repr``) in JSON, so repeated runs are
 byte-identical and values survive a parse round trip.  A table of more than
 one block of rows with cells to format one by one is formatted by forked
 workers on the CPUs the process may use, into the same bytes for any number
-of CPUs.  Exit codes, all
-chosen by ``main``: 0 success, 1 output not written (an unwritable
-``--out``; a closed stdout pipe, silently), 2 bad usage, 3 solver failure,
-4 capacity exceeded (the walk budget, float64 resolution or the float64
-range passed; a ``field`` grid too large to allocate or index; running out of
-memory; a row-formatting worker that failed, was killed or could not
-start).  ``--out`` is written whole or not at all; stdout, once written,
-cannot be taken back.
+of CPUs.  Exit codes, all chosen by ``main``: 0 success, 1 output not
+written (an unwritable ``--out`` or stdout; a closed stdout pipe, silently),
+2 bad usage, 3 solver failure, 4 capacity exceeded (the walk budget, float64
+resolution or the float64 range passed; a ``field`` grid too large to
+allocate or index; running out of memory; a row-formatting worker that
+failed, was killed or could not start).  ``--out`` is written whole or not
+at all; stdout, once written, cannot be taken back.
 """
 
 from __future__ import annotations
@@ -533,6 +532,18 @@ def _field(args) -> None:
     _emit(table, config, summary, args)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose help or version text that stdout cannot
+    take raises the OSError, which argparse would swallow, so ``main`` exits
+    1 on it with or without a stdout buffer."""
+
+    def _print_message(self, message, file=None):
+        if message and file is not None and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def _parser(prog: str) -> argparse.ArgumentParser:
     """The ``relbox`` parser.  Each command's parser sets ``run`` to the
     command and ``error`` to its own usage-error exit (code 2)."""
@@ -561,7 +572,7 @@ def _parser(prog: str) -> argparse.ArgumentParser:
                         help="Output format (default: %(default)s).")
     output.add_argument("--out", help="Output path (default stdout).")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog=prog, allow_abbrev=False,
         description="Relativistic particle-in-a-box spectra, counts and wavefunctions.  "
         "All lengths are in units of the Compton wavelength and all energies in units of "
@@ -598,17 +609,17 @@ def main(args=None, prog_name: str = "relbox", standalone_mode: bool = True) -> 
     """Run one ``relbox`` command line (``sys.argv[1:]`` when ``args`` is None).
 
     Success returns None; every failure ends in ``SystemExit``.  argparse
-    exits 0 (``--help``, ``--version``) or 2 (bad usage); the ladder below
-    alone maps each other failure to its code (see the module docstring)
-    and writes one ``error: ...`` line; a closed stdout pipe exits 1
-    silently.  ``standalone_mode`` selects nothing: it keeps the keyword
-    call shape ``cli.main(args=..., prog_name=..., standalone_mode=...)``
+    exits 0 (``--help``, ``--version``, once written) or 2 (bad usage); the
+    ladder below alone maps each other failure to its code (see the module
+    docstring) and writes one ``error: ...`` line; a closed stdout pipe
+    exits 1 silently.  ``standalone_mode`` selects nothing: it keeps the
+    keyword call shape ``cli.main(args=..., prog_name=..., standalone_mode=...)``
     that in-process callers such as ``perfbench/trace.py`` use.
     """
-    namespace, unknown = _parser(prog_name).parse_known_args(args)
-    if unknown:
-        namespace.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
+        namespace, unknown = _parser(prog_name).parse_known_args(args)
+        if unknown:
+            namespace.error(f"unrecognized arguments: {' '.join(unknown)}")
         namespace.run(namespace)
     except ConvergenceError as exc:
         _fail(3, str(exc))

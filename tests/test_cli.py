@@ -1169,6 +1169,46 @@ def test_help_past_the_file_size_limit_is_one_error_line(tmp_path):
     assert done.stderr.startswith(b"error: ") and done.stderr.count(b"\n") == 1
 
 
+# Commands whose output goes to stdout: a table of each command (a field
+# table of one block and one split over row workers), the help of the
+# program and of a command, and the version.
+STDOUT_COMMANDS = {
+    "count": ("count", "--tmax", "1", "--lc", "1"),
+    "spectrum": ("spectrum",),
+    "field": ("field", "--n", "1", "--lc", "1"),
+    "field-13-blocks": ("field", "--n", "3", "--lc", "1", "--grid", "100001",
+                        "--format", "json"),
+    "help": ("--help",),
+    "version": ("--version",),
+    "count-help": ("count", "--help"),
+}
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("name", STDOUT_COMMANDS)
+def test_full_stdout_is_one_error_line(name, buffered):
+    """Output that a full device refuses exits 1 with exactly one ``error:``
+    line, with a block-buffered stdout and with ``PYTHONUNBUFFERED`` set."""
+    if not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "relbox", *STDOUT_COMMANDS[name]],
+                              env=env, stdout=full, stderr=subprocess.PIPE, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr.startswith(b"error: ") and done.stderr.count(b"\n") == 1
+
+
+def test_version_with_stdout_closed_prints_as_argparse_does():
+    """Where fd 1 is closed, ``sys.stdout`` is None and argparse writes the
+    version to stderr instead: exit 0, not a traceback."""
+    done = _run_python("-m", "relbox", "--version", preexec_fn=lambda: os.close(1))
+    assert (done.returncode, done.stderr) == (0, "relbox, version 0.1.0\n")
+
+
 @pytest.mark.parametrize("code, args", [
     (0, ("spectrum", "--dim", "1", "--lc", "1", "--levels", "2")),
     (1, ("count", "--tmax", "5", "--out", "{tmp}/missing/x.csv")),
